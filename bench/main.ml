@@ -591,8 +591,8 @@ let bechamel_benches () =
     @ List.map
         (fun (n, g0) ->
           Test.make
-            ~name:(Printf.sprintf "B1 reduce chain %d" n)
-            (Staged.stage (fun () -> ignore (Reduce.run (Sequencing.copy g0)))))
+            ~name:(Printf.sprintf "B1 rescanning reduce chain %d" n)
+            (Staged.stage (fun () -> ignore (Reduce.run_rescan (Sequencing.copy g0)))))
         prebuilt
     @ List.map
         (fun (k, g0) ->
@@ -633,7 +633,7 @@ let bechamel_benches () =
         (fun (n, g0) ->
           Test.make
             ~name:(Printf.sprintf "B8 worklist reduce chain %d (ablation)" n)
-            (Staged.stage (fun () -> ignore (Reduce.run_worklist (Sequencing.copy g0)))))
+            (Staged.stage (fun () -> ignore (Reduce.run (Sequencing.copy g0)))))
         prebuilt
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in

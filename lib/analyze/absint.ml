@@ -29,46 +29,7 @@
 
 open Exchange
 module Execution = Trust_core.Execution
-
-(* What an asset is worth to a party — money at face value, a document
-   at the party's cost basis. Mirror of [Trust_sim.Trace.price_for]:
-   trust_sim depends on trust_analyze, so the valuation is restated
-   here rather than imported. *)
-let basis spec party asset =
-  match asset with
-  | Asset.Money m -> m
-  | Asset.Document _ ->
-    let deals_pricing ~receiving =
-      List.filter_map
-        (fun ((cref : Spec.commitment_ref), d) ->
-          let mine = Party.equal (Spec.commitment_principal d cref.Spec.side) party in
-          let flow =
-            if receiving then Spec.commitment_expects d cref.Spec.side
-            else Spec.commitment_sends d cref.Spec.side
-          in
-          if mine && Asset.equal flow asset then
-            let counter_flow =
-              if receiving then Spec.commitment_sends d cref.Spec.side
-              else Spec.commitment_expects d cref.Spec.side
-            in
-            Some (Asset.value counter_flow)
-          else None)
-        (Spec.commitments spec)
-    in
-    (match deals_pricing ~receiving:true with
-    | price :: _ -> price
-    | [] -> ( match deals_pricing ~receiving:false with price :: _ -> price | [] -> 0))
-
-(* §5: a feasible sequence keeps at most one transfer of a party in
-   flight, so its honest worst position is its single largest outgoing
-   transfer. Same fold as [Trust_sim.Exposure.single_transfer_bound]. *)
-let single_transfer_bound spec party =
-  List.fold_left
-    (fun acc ((cref : Spec.commitment_ref), d) ->
-      if Party.equal (Spec.commitment_principal d cref.Spec.side) party then
-        max acc (basis spec party (Spec.commitment_sends d cref.Spec.side))
-      else acc)
-    0 (Spec.commitments spec)
+module Compile = Trust_core.Compile
 
 type delta = {
   d_party : Party.t;
@@ -143,13 +104,13 @@ let compile_step spec (step : Execution.step) =
           else if Party.equal counterpart agent then
             (* direct trust: the commit is itself the delivery *)
             [
-              release principal (basis spec principal asset);
-              receive counterpart (basis spec counterpart asset);
+              release principal (Compile.price_for spec principal asset);
+              receive counterpart (Compile.price_for spec counterpart asset);
             ]
           else if Party.is_principal agent then
             (* custody at a third-party persona: out of the principal's
                hands and into another principal's — at risk now *)
-            [ release principal (basis spec principal asset) ]
+            [ release principal (Compile.price_for spec principal asset) ]
           else (* genuine trusted agent: protected escrow *) []
         in
         (Some d.Spec.id, deltas))
@@ -180,13 +141,14 @@ let compile_step spec (step : Execution.step) =
           let releases =
             if Party.equal principal agent then
               (* own-agent commit was virtual: the outlay happens here *)
-              [ release principal (basis spec principal asset) ]
+              [ release principal (Compile.price_for spec principal asset) ]
             else if Party.is_trusted agent then
               (* escrow settles away from the contributor *)
-              [ release principal (basis spec principal asset) ]
+              [ release principal (Compile.price_for spec principal asset) ]
             else (* persona custody: already released at commit *) []
           in
-          (Some id, releases @ [ receive counterpart (basis spec counterpart asset) ])))
+          ( Some id,
+            releases @ [ receive counterpart (Compile.price_for spec counterpart asset) ] )))
   in
   { a_index = step.Execution.index; a_deal = deal; a_label = label; a_deltas = deltas }
 
@@ -294,7 +256,7 @@ let worst_case steps touched party =
   (risk, kept_steps, stalled)
 
 let interval_of spec steps defectables party =
-  let bound = single_transfer_bound spec party in
+  let bound = Compile.single_transfer_bound spec party in
   let lo, honest_steps, _ = worst_case steps [] party in
   let honest =
     { w_defector = None; w_at_risk = lo; w_kept = honest_steps; w_stalled = [] }

@@ -14,15 +14,6 @@
 
 open Exchange
 
-val basis : Spec.t -> Party.t -> Asset.t -> Asset.money
-(** Value of an asset to a party: money at face value, a document at
-    the party's cost basis (what it pays for it in a receiving deal,
-    else what it is paid, else 0). Mirrors [Trust_sim.Trace.price_for],
-    which cannot be imported here without a dependency cycle. *)
-
-val single_transfer_bound : Spec.t -> Party.t -> Asset.money
-(** The §5 bound: the party's single largest outgoing transfer. *)
-
 type delta = {
   d_party : Party.t;
   d_release : Asset.money;  (** value leaving the party's control *)
@@ -46,7 +37,7 @@ type witness = {
 
 type interval = {
   i_party : Party.t;
-  i_bound : Asset.money;  (** {!single_transfer_bound} *)
+  i_bound : Asset.money;  (** {!Trust_core.Compile.single_transfer_bound} *)
   i_lo : Asset.money;  (** honest-run peak exposure *)
   i_hi : Asset.money;  (** worst case over defectors and interleavings *)
   i_witness : witness;  (** a schedule attaining [i_hi] *)

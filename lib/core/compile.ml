@@ -124,6 +124,46 @@ let send_transfer spec d side =
   in
   Action.{ source = principal; target; asset = Spec.commitment_sends d side }
 
+(* -- §5 valuation: the one definition the dynamic ledgers and the
+      static analysis price exposure by -- *)
+
+let price_for spec party asset =
+  match asset with
+  | Asset.Money m -> m
+  | Asset.Document _ ->
+    let deals_pricing ~receiving =
+      List.filter_map
+        (fun ((cref : Spec.commitment_ref), d) ->
+          let mine = Party.equal (Spec.commitment_principal d cref.Spec.side) party in
+          let flow =
+            if receiving then Spec.commitment_expects d cref.Spec.side
+            else Spec.commitment_sends d cref.Spec.side
+          in
+          if mine && Asset.equal flow asset then
+            let counter_flow =
+              if receiving then Spec.commitment_sends d cref.Spec.side
+              else Spec.commitment_expects d cref.Spec.side
+            in
+            Some (Asset.value counter_flow)
+          else None)
+        (Spec.commitments spec)
+    in
+    (match deals_pricing ~receiving:true with
+    | price :: _ -> price
+    | [] -> ( match deals_pricing ~receiving:false with price :: _ -> price | [] -> 0))
+
+(* §5: a feasible sequence keeps at most one transfer of a party in
+   flight, so its worst honest position is its single largest outgoing
+   transfer. *)
+let single_transfer_bound ?price spec party =
+  let price = match price with Some p -> p | None -> price_for spec in
+  List.fold_left
+    (fun acc ((cref : Spec.commitment_ref), d) ->
+      if Party.equal (Spec.commitment_principal d cref.Spec.side) party then
+        max acc (price party (Spec.commitment_sends d cref.Spec.side))
+      else acc)
+    0 (Spec.commitments spec)
+
 let compile ~lockstep ~shared ?plan ~price spec protocol =
   if not (Party.Map.is_empty spec.Spec.overrides) then
     invalid_arg "Compile.compile: acceptability overrides are not compilable";
@@ -548,18 +588,7 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
     (fun i d ->
       match d.Spec.deadline with Some dl -> expiries := (i, dl) :: !expiries | None -> ())
     deals;
-  let bound =
-    Array.of_list
-      (List.map
-         (fun party ->
-           List.fold_left
-             (fun acc (cref, d) ->
-               if Party.equal (Spec.commitment_principal d cref.Spec.side) party then
-                 max acc (price party (Spec.commitment_sends d cref.Spec.side))
-               else acc)
-             0 (Spec.commitments spec))
-         principals)
-  in
+  let bound = Array.of_list (List.map (single_transfer_bound ~price spec) principals) in
   {
     spec;
     lockstep;

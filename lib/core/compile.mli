@@ -97,6 +97,22 @@ type t = {
   bound : int array;  (** per principal slot: §5 single-transfer bound *)
 }
 
+(** {2 §5 valuation} *)
+
+val price_for : Spec.t -> Party.t -> Asset.t -> Asset.money
+(** What an asset is worth to a party: money at face value; a document
+    at what the party pays for it in the spec (its cost basis) or,
+    failing that, what it is paid for it; [0] when the party never
+    trades it. The one valuation the exposure ledgers (the plan's
+    prices and bounds, [Trust_sim.Exposure]) and the static analysis
+    ([Trust_analyze.Absint]) share. *)
+
+val single_transfer_bound :
+  ?price:(Party.t -> Asset.t -> Asset.money) -> Spec.t -> Party.t -> Asset.money
+(** The §5 bound: the largest single transfer the party's commitments
+    ever put in flight — [max] over its deal sides of the value it
+    sends, priced by [price] (default {!price_for} [spec]). *)
+
 val compile :
   lockstep:bool ->
   shared:bool ->
@@ -106,8 +122,7 @@ val compile :
   Protocol.t ->
   t
 (** Flatten a synthesized protocol. [price] is the deal-implied
-    valuation used by exposure accounting (pass
-    [Trust_sim.Trace.price_for spec]); [lockstep] and [shared] must
+    valuation used by exposure accounting (pass {!price_for} [spec]); [lockstep] and [shared] must
     match the harness options the protocol will run under.
     @raise Invalid_argument if the spec carries acceptability
     overrides — those specs are not cacheable and never compiled. *)

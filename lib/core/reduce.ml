@@ -214,7 +214,8 @@ let run_randomized ~choose g =
   let pick candidates = List.nth candidates (choose (List.length candidates)) in
   run_with ~pick g
 
-(* Incremental reduction: a deletion of edge (c, j) can only enable
+(* The deterministic strategy, incrementally (the default synthesis
+   path). A deletion of edge (c, j) can only enable
    Rule #2 at j, Rule #1 at c (if it keeps another edge) and Rule #1 at
    j's other commitments (whose pre-empting red edge may just have
    vanished). Everything else is untouched, so after each deletion only
@@ -228,7 +229,7 @@ let run_randomized ~choose g =
    Example #1 walkthrough), which {!run_rescan} pins in the tests. *)
 module Int_set = Set.Make (Int)
 
-let run_worklist ?(obs = Obs.null) ?parent g =
+let run ?(obs = Obs.null) ?parent g =
   Obs.with_span obs ?parent ~phase:"reduce" "reduce.worklist" (fun obs_span ->
   let pushes = ref 0 in
   (* profiler hook, not control flow: a push is an insertion into one of
@@ -323,11 +324,6 @@ let run_worklist ?(obs = Obs.null) ?parent g =
   let outcome = finish g !deletions in
   record_outcome obs obs_span ~pushes:!pushes outcome;
   outcome)
-
-(* The worklist reducer replays the deterministic strategy incrementally
-   — identical deletion sequence, near-linear instead of quadratic — so
-   it is the default synthesis path. *)
-let run ?obs ?parent g = run_worklist ?obs ?parent g
 
 let feasible outcome = outcome.verdict = Feasible
 

@@ -55,11 +55,16 @@ type outcome = {
 
 val run : ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> Sequencing.t -> outcome
 (** Reduce with the deterministic strategy. The graph is mutated;
-    pass a {!Sequencing.copy} to keep the original. This is the
-    incremental {!run_worklist} reducer — near-linear for bounded
-    conjunction degree, with the same deletion sequence the paper's
-    Example #1 walkthrough follows; {!run_rescan} is the quadratic
-    reference implementation it is property-tested against.
+    pass a {!Sequencing.copy} to keep the original. Incremental:
+    instead of re-scanning every node after each deletion, it
+    re-examines only the nodes a deletion can newly enable — the
+    deleted edge's endpoints and the conjunction's other commitments —
+    keeping candidates in ordered sets that mirror the deterministic
+    priority. Near-linear for bounded conjunction degree, with the
+    deletion sequence the paper's Example #1 walkthrough follows;
+    {!run_rescan} is the quadratic reference implementation it is
+    property-tested against (identical verdicts {e and} deletion
+    sequences).
 
     When a trace [obs] is attached, the run opens a [reduce]-phase span
     (child of [parent]) carrying the per-rule profiler: one ["delete"]
@@ -71,7 +76,7 @@ val run_rescan : ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> Sequenc
 (** The original rescanning reducer: recompute every applicable
     deletion after each step and pick by the deterministic priority.
     Quadratic; kept as the executable specification ({e test oracle})
-    for {!run}/{!run_worklist}, which must match its verdicts {e and}
+    for {!run}, which must match its verdicts {e and}
     deletion sequences exactly. Its profiler span records ["rescans"]
     (full scans of the graph) instead of worklist pushes. *)
 
@@ -88,15 +93,6 @@ val run_shared : ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> Sequenc
     suggests). Requires the runtime counterpart — an {e atomic} escrow
     that forwards nothing until all its deals are in
     ({!Trust_sim.Behavior.escrow}) — for the verdict to be safe. *)
-
-val run_worklist : ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> Sequencing.t -> outcome
-(** Incremental reducer (what {!run} is): instead of re-scanning every
-    node after each deletion (quadratic), it re-examines only the nodes
-    a deletion can newly enable — the deleted edge's endpoints and the
-    conjunction's other commitments. Candidates are kept in ordered
-    sets mirroring the deterministic priority, so the deletion sequence
-    is {e identical} to {!run_rescan}'s (property-tested), including
-    the §5 execution-sequence-bearing order of Example #1. *)
 
 val feasible : outcome -> bool
 

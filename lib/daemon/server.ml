@@ -101,16 +101,12 @@ type srv = {
      candidates that already aged out can be pre-warmed *)
   mutable board : Mine.t;
   stash : (string, Exchange.Spec.t) Hashtbl.t;
-  (* tallies (the daemon loop is single-threaded) *)
+  (* the batch scheduler's retention rule, bound once at start-up *)
+  retain : int -> (record:bool -> Obs.t -> Session.t option) -> Obs.t option;
   mutable next_session : int;
-  mutable served : int;
-  mutable settled : int;
-  mutable expired : int;
-  mutable aborted : int;
-  mutable busy : int;
-  mutable protocol_errors : int;
-  mutable connections : int;
-  mutable epochs : int;
+  (* aborted submissions that never became a session (no counter
+     holds them: the scheduler counts only the sessions it runs) *)
+  mutable parse_rejected : int;
   (* registered once, bumped per event *)
   requests_c : Metrics.counter;
   busy_c : Metrics.counter;
@@ -118,9 +114,6 @@ type srv = {
   conns_c : Metrics.counter;
   epochs_c : Metrics.counter;
   aged_c : Metrics.counter;
-  obs_sampled_c : Metrics.counter;
-  obs_tail_c : Metrics.counter;
-  obs_ring_dropped_c : Metrics.counter;
   mine_ticks_c : Metrics.counter;
   mine_sessions_c : Metrics.counter;
   mine_pins_c : Metrics.counter;
@@ -152,7 +145,6 @@ let try_flush conn =
 let has_output conn = conn.alive && Buffer.length conn.out > conn.out_off
 
 let protocol_error srv conn reason =
-  srv.protocol_errors <- srv.protocol_errors + 1;
   Metrics.incr srv.proto_c;
   send conn (Wire.Refused { id = None; reason });
   conn.closing <- true
@@ -186,7 +178,6 @@ let refresh_cache_gauges srv =
 
 let epoch_tick srv =
   let swept = Cache.advance_epoch ~max_idle:srv.cfg.max_idle_epochs srv.cache in
-  srv.epochs <- srv.epochs + 1;
   Metrics.incr srv.epochs_c;
   if swept > 0 then Metrics.incr ~by:swept srv.aged_c;
   refresh_cache_gauges srv;
@@ -261,20 +252,19 @@ let zero_result ~id ~status ~exit_code ~reason =
       reason;
     }
 
-(* One traced pass over a submission: the [daemon.request] root span,
-   elaboration, and the full session lifecycle. Shared between the
-   sampled path (live trace from the start) and the tail-promotion
-   replay (deterministic re-run with a live sink after the fast
-   untraced pass turned out anomalous) — so both produce the same span
-   tree. [record] is false on replays: the first pass already counted
-   everything. *)
-let traced_pass srv ~record ~session:n ~id ~spec obs session_out =
+(* One pass over a submission: the [daemon.request] root span,
+   elaboration, and the full session lifecycle. {!Scheduler.retain}
+   runs it against a live sink when the request is head-sampled, and
+   again (with [record] false: the first pass already counted
+   everything) when a tail keep rule promotes it — so both produce the
+   same span tree. *)
+let request_pass srv ~record ~session:n ~id ~spec obs =
   Obs.with_span obs ~phase:"daemon" "daemon.request" (fun root ->
       if Obs.enabled obs then Obs.attr obs root "wire_id" (Obs.Int id);
       match Trust_lang.Elaborate.from_string ~obs ~parent:root ~file:"<wire>" spec with
       | Error e ->
-        if record then srv.aborted <- srv.aborted + 1;
-        zero_result ~id ~status:"error" ~exit_code:2 ~reason:(Some e)
+        if record then srv.parse_rejected <- srv.parse_rejected + 1;
+        (zero_result ~id ~status:"error" ~exit_code:2 ~reason:(Some e), None)
       | Ok parsed ->
         (* optional fault injection (CI smokes, soak tests): every
            [defect_every]-th session defects silently, exactly the
@@ -288,104 +278,58 @@ let traced_pass srv ~record ~session:n ~id ~spec obs session_out =
           else []
         in
         let session = Session.make ~id:n ~defectors parsed in
-        session_out := Some session;
-        if record then
-          Scheduler.process_one ~metrics:srv.metrics ~obs ~parent:root srv.cfg.scheduler
-            srv.cache session
-        else
-          Scheduler.process_one ~obs ~parent:root srv.cfg.scheduler srv.cache session;
+        let metrics = if record then Some srv.metrics else None in
+        Scheduler.process_one ?metrics ~obs ~parent:root srv.cfg.scheduler srv.cache session;
         let status, exit_code, reason =
           match session.Session.status with
-          | Session.Settled ->
-            if record then srv.settled <- srv.settled + 1;
-            ("settled", 0, None)
-          | Session.Expired ->
-            if record then srv.expired <- srv.expired + 1;
-            ("expired", 1, None)
-          | Session.Aborted r ->
-            if record then srv.aborted <- srv.aborted + 1;
-            ("aborted", 1, Some r)
+          | Session.Settled -> ("settled", 0, None)
+          | Session.Expired -> ("expired", 1, None)
+          | Session.Aborted r -> ("aborted", 1, Some r)
           | Session.Queued | Session.Synthesizing | Session.Running ->
             ("error", 2, Some "internal: session did not reach a terminal state")
         in
-        Wire.Result
-          {
-            id;
-            status;
-            exit_code;
-            cache_hit = session.Session.cache_hit;
-            ticks = session.Session.ticks;
-            events = session.Session.events;
-            attempts = session.Session.attempts;
-            exposure_peak = session.Session.exposure_peak;
-            exposure_ticks = session.Session.exposure_ticks;
-            exposure_violations = session.Session.exposure_violations;
-            reason;
-          })
+        ( Wire.Result
+            {
+              id;
+              status;
+              exit_code;
+              cache_hit = session.Session.cache_hit;
+              ticks = session.Session.ticks;
+              events = session.Session.events;
+              attempts = session.Session.attempts;
+              exposure_peak = session.Session.exposure_peak;
+              exposure_ticks = session.Session.exposure_ticks;
+              exposure_violations = session.Session.exposure_violations;
+              reason;
+            },
+          Some session ))
 
 let process_submit srv conn ~id ~spec =
   let n = srv.next_session in
   srv.next_session <- n + 1;
-  let tracing = srv.trace_ch <> None || srv.ring <> None in
-  let sampled =
-    tracing && Scheduler.session_sampled
-                 { srv.cfg.scheduler with Scheduler.sample_rate = srv.cfg.trace_sample }
-                 n
+  let first = ref None in
+  let kept =
+    srv.retain n (fun ~record obs ->
+        let resp, session = request_pass srv ~record ~session:n ~id ~spec obs in
+        if record then first := Some (resp, session);
+        session)
   in
-  let obs = if sampled then Obs.create ~session:n () else Obs.null in
-  let session_ref = ref None in
-  let resp = traced_pass srv ~record:true ~session:n ~id ~spec obs session_ref in
-  if sampled then Metrics.incr srv.obs_sampled_c;
+  let resp, session = Option.get !first in
   (* remember the last spec per shape (bounded) so the mining tick can
      pre-warm a pin candidate that already aged out of the cache *)
-  (match !session_ref with
+  (match session with
   | Some session when srv.cfg.mine_every > 0 ->
     if Hashtbl.length srv.stash >= 4096 then Hashtbl.reset srv.stash;
     Hashtbl.replace srv.stash (Shape.hash_hex session.Session.spec) session.Session.spec
   | Some _ | None -> ());
-  let keep =
-    match !session_ref with
-    | Some session -> Scheduler.keep_decision ~sampled session
-    | None -> if sampled then Some Ring.Sampled else None
-    (* unsampled parse failures never make a session, so tail rules
-       cannot see them — the refused Result already tells the client *)
-  in
-  (match keep with
-  | None -> ()
-  | Some keep ->
-    let trace =
-      if Obs.enabled obs then obs
-      else begin
-        (* tail promotion: the request ran untraced on the compiled
-           path and closed with a violation, retry, expiry or lint
-           refusal. Re-run it with a live sink — spec, session id and
-           the (seed, session, seq) drop schedule are identical, so
-           the trace is what head sampling would have captured. *)
-        Metrics.incr srv.obs_tail_c;
-        let replay = Obs.create ~session:n () in
-        let discard = ref None in
-        ignore (traced_pass srv ~record:false ~session:n ~id ~spec replay discard : Wire.response);
-        replay
-      end
-    in
-    (* stamp the keep verdict on the root after the fact (attrs on
-       finished spans don't tick the clock): ring dumps and the JSONL
-       sink then agree on why the session was retained, so Mine folds
-       either source identically *)
-    Obs.attr trace (Obs.first_root trace) "keep" (Obs.Str (Ring.keep_label keep));
-    Option.iter
-      (fun ring ->
-        let evicted = Ring.record ring ~keep trace in
-        if evicted > 0 then Metrics.incr ~by:evicted srv.obs_ring_dropped_c)
-      srv.ring;
-    (* every kept session — head-sampled or tail-promoted — reaches
-       the durable sink at close; the ring is the live (evictable)
-       introspection window over the same set *)
-    Option.iter
-      (fun ch ->
-        output_string ch (Obs.export Obs.Jsonl [ trace ]);
-        flush ch)
-      srv.trace_ch);
+  (* every kept session — head-sampled or tail-promoted — reaches the
+     durable sink at close; the ring is the live (evictable)
+     introspection window over the same set *)
+  (match (kept, srv.trace_ch) with
+  | Some trace, Some ch ->
+    output_string ch (Obs.export Obs.Jsonl [ trace ]);
+    flush ch
+  | _ -> ());
   (* a deny-listed shape surfaces as the wire's refused answer — the
      client sees the TM001 diagnostic with the transport exit contract,
      distinct from an ordinary aborted result *)
@@ -397,21 +341,29 @@ let process_submit srv conn ~id ~spec =
     | resp -> resp
   in
   send conn resp;
-  srv.served <- srv.served + 1;
   Metrics.incr srv.requests_c;
-  if srv.cfg.epoch_every > 0 && srv.served mod srv.cfg.epoch_every = 0 then epoch_tick srv;
-  if srv.cfg.mine_every > 0 && srv.served mod srv.cfg.mine_every = 0 then mine_tick srv
+  let served = Metrics.value srv.requests_c in
+  if srv.cfg.epoch_every > 0 && served mod srv.cfg.epoch_every = 0 then epoch_tick srv;
+  if srv.cfg.mine_every > 0 && served mod srv.cfg.mine_every = 0 then mine_tick srv
 
+(* The stats are read off the registry. The scheduler registers its
+   session counters on the first session it runs; until then they are
+   zero, and fetching them would add empty series to the metrics
+   reply. *)
 let snapshot ?(drained = false) srv =
+  let served = Metrics.value srv.requests_c in
+  let sessions name =
+    if served > srv.parse_rejected then Metrics.value (Metrics.counter srv.metrics name) else 0
+  in
   {
-    served = srv.served;
-    settled = srv.settled;
-    expired = srv.expired;
-    aborted = srv.aborted;
-    busy = srv.busy;
-    protocol_errors = srv.protocol_errors;
-    connections = srv.connections;
-    epochs = srv.epochs;
+    served;
+    settled = sessions "serve_sessions_settled_total";
+    expired = sessions "serve_sessions_expired_total";
+    aborted = srv.parse_rejected + sessions "serve_sessions_aborted_total";
+    busy = Metrics.value srv.busy_c;
+    protocol_errors = Metrics.value srv.proto_c;
+    connections = Metrics.value srv.conns_c;
+    epochs = Metrics.value srv.epochs_c;
     aged_out = Cache.aged_out srv.cache;
     cache_size = Cache.size srv.cache;
     drained;
@@ -443,7 +395,6 @@ let handle_request srv conn = function
     send conn (Wire.Text { id; kind = "ring"; text = B64.encode dump })
   | Wire.Submit { id; spec } ->
     if not (Admission.try_push srv.pending (conn, id, spec)) then begin
-      srv.busy <- srv.busy + 1;
       Metrics.incr srv.busy_c;
       send conn (Wire.Busy { id })
     end
@@ -506,7 +457,6 @@ let accept_all srv listener conns =
     | exception Unix.Unix_error _ -> ()
     | fd, _ ->
       Unix.set_nonblock fd;
-      srv.connections <- srv.connections + 1;
       Metrics.incr srv.conns_c;
       conns :=
         {
@@ -530,26 +480,26 @@ let run ?(stop = Atomic.make false) ?metrics cfg =
     invalid_arg "Server.run: no listener configured";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+  let trace_ch = Option.map open_out cfg.trace_path in
+  let ring =
+    if cfg.trace_ring > 0 then Some (Ring.create ~capacity:cfg.trace_ring ()) else None
+  in
   let srv =
     {
       cfg;
       metrics;
       cache = Cache.create ~capacity:cfg.cache_capacity cfg.policy;
       pending = Admission.create ~bound:cfg.max_pending ();
-      trace_ch = Option.map open_out cfg.trace_path;
-      ring =
-        (if cfg.trace_ring > 0 then Some (Ring.create ~capacity:cfg.trace_ring ()) else None);
+      trace_ch;
+      ring;
       board = Mine.empty;
       stash = Hashtbl.create 256;
+      retain =
+        Scheduler.retain ~metrics ?ring
+          ~tracing:(trace_ch <> None || ring <> None)
+          { cfg.scheduler with Scheduler.sample_rate = cfg.trace_sample };
       next_session = 0;
-      served = 0;
-      settled = 0;
-      expired = 0;
-      aborted = 0;
-      busy = 0;
-      protocol_errors = 0;
-      connections = 0;
-      epochs = 0;
+      parse_rejected = 0;
       requests_c =
         Metrics.counter metrics ~help:"wire submissions processed" "daemon_requests_total";
       busy_c =
@@ -563,15 +513,6 @@ let run ?(stop = Atomic.make false) ?metrics cfg =
       aged_c =
         Metrics.counter metrics ~help:"cache entries swept by epoch aging"
           "serve_cache_aged_out_total";
-      obs_sampled_c =
-        Metrics.counter metrics ~help:"sessions head-sampled into a live trace"
-          "obs_sessions_sampled_total";
-      obs_tail_c =
-        Metrics.counter metrics ~help:"unsampled sessions promoted by a tail keep rule"
-          "obs_sessions_kept_tail_total";
-      obs_ring_dropped_c =
-        Metrics.counter metrics ~help:"trace-ring records evicted on wrap or refused oversized"
-          "obs_ring_records_dropped_total";
       mine_ticks_c =
         Metrics.counter metrics ~help:"trace-mining feedback ticks (self-drain + policy)"
           "obs_mine_ticks_total";

@@ -9,7 +9,8 @@
     through {!Trust_serve.Scheduler.process_one} — the same lifecycle
     (admission lint, cached synthesis, engine run, audit) a batch
     session gets, parented under a [daemon.request] root span when
-    tracing.
+    tracing — inside {!Trust_serve.Scheduler.retain}, the batch's own
+    sampling and tail-retention rule.
 
     {2 Admission and backpressure}
 
@@ -93,6 +94,8 @@ val default : config
     at production cost: a 1 MiB ring, 1% head sampling, tail keeps
     always. *)
 
+(** Read off the metrics registry: the [daemon_*] counters and the
+    scheduler's [serve_sessions_*] counters. *)
 type stats = {
   served : int;  (** submissions fully processed *)
   settled : int;

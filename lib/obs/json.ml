@@ -150,8 +150,6 @@ let parse line =
   skip_ws ();
   if !pos <> n then fail "trailing characters" else v
 
-let parse_result s = match parse s with v -> Ok v | exception Bad m -> Error m
-
 let field obj k =
   match obj with
   | Obj kvs -> (

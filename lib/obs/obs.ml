@@ -1,9 +1,10 @@
 (* Structured tracing with deterministic virtual timestamps: one
    monotonic counter per trace ticks on every span begin/end and event,
    so exports depend only on the instrumented computation — never on
-   wall time or domain scheduling. Wall instants and scheduling facts
-   are kept on the side (never exported), mirroring the
-   Metrics/Service.wall_line quarantine. *)
+   wall time or domain scheduling. Scheduling facts are kept on the
+   side as volatile attributes (never exported), mirroring the
+   Metrics/Service.wall_line quarantine; wall time is not recorded at
+   all. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 
@@ -20,8 +21,6 @@ type sp = {
   mutable sp_attrs : (string * value) list;  (* reversed *)
   mutable sp_vattrs : (string * value) list;  (* volatile: reversed, never exported *)
   mutable sp_events : ev list;  (* reversed *)
-  sp_wall_start : float;
-  mutable sp_wall_stop : float;
 }
 
 type trace = {
@@ -64,8 +63,6 @@ let span t ?(parent = none) ~phase name : handle =
         sp_attrs = [];
         sp_vattrs = [];
         sp_events = [];
-        sp_wall_start = Unix.gettimeofday ();
-        sp_wall_stop = nan;
       }
     in
     tr.tr_next <- tr.tr_next + 1;
@@ -75,8 +72,7 @@ let span t ?(parent = none) ~phase name : handle =
 let finish t h =
   match (t, h) with
   | Active tr, Some sp ->
-    sp.sp_stop <- tick tr;
-    sp.sp_wall_stop <- Unix.gettimeofday ()
+    sp.sp_stop <- tick tr
   | (Null | Active _), _ -> ()
 
 let with_span t ?parent ~phase name f =
@@ -109,16 +105,6 @@ let first_root t : handle =
     List.fold_left
       (fun acc sp -> if sp.sp_parent = None then Some sp else acc)
       None tr.tr_spans
-
-let wall_seconds t =
-  match t with
-  | Null -> 0.
-  | Active tr ->
-    List.fold_left
-      (fun acc sp ->
-        if Float.is_nan sp.sp_wall_stop then acc
-        else max acc (sp.sp_wall_stop -. sp.sp_wall_start))
-      0. tr.tr_spans
 
 (* Batch registry: one slot per session, each written by exactly one
    pool job; the scheduler's shutdown join publishes the slots before
@@ -162,25 +148,10 @@ let format_of_string s =
   | "folded" -> Some Folded
   | _ -> None
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let value_json = function
   | Int i -> string_of_int i
   | Float f -> Printf.sprintf "%.6f" f
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Str s -> Printf.sprintf "\"%s\"" (Json.escape s)
   | Bool b -> if b then "true" else "false"
 
 let value_text = function
@@ -191,7 +162,7 @@ let value_text = function
 
 let attrs_json attrs =
   String.concat ","
-    (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (value_json v)) attrs)
+    (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (Json.escape k) (value_json v)) attrs)
 
 let live ts = List.filter_map (function Null -> None | Active tr -> Some tr) ts
 
@@ -236,8 +207,7 @@ let views = function
 (* The inverse of [views], for offline decoders (Ring): rebuild an
    Active trace from span views so the byte-for-byte exporters above
    re-emit exactly what the original trace would have. Volatile attrs
-   and wall instants are gone by construction — no exporter ever
-   rendered them. [clock] restores the tree header's vt range. *)
+   are gone by construction — no exporter ever rendered them. [clock] restores the tree header's vt range. *)
 let of_views ~session ~clock views =
   let spans =
     List.map
@@ -252,8 +222,6 @@ let of_views ~session ~clock views =
           sp_attrs = List.rev v.view_attrs;
           sp_vattrs = [];
           sp_events = List.rev v.view_events;
-          sp_wall_start = nan;
-          sp_wall_stop = nan;
         })
       views
   in
@@ -263,7 +231,7 @@ let of_views ~session ~clock views =
 let jsonl ?producer ts =
   let buf = Buffer.create 4096 in
   (match producer with
-  | Some p -> Buffer.add_string buf (Printf.sprintf "{\"type\":\"meta\",\"producer\":\"%s\"}\n" (json_escape p))
+  | Some p -> Buffer.add_string buf (Printf.sprintf "{\"type\":\"meta\",\"producer\":\"%s\"}\n" (Json.escape p))
   | None -> ());
   List.iter
     (fun tr ->
@@ -274,14 +242,14 @@ let jsonl ?producer ts =
                "{\"type\":\"span\",\"session\":%d,\"id\":%d,\"parent\":%s,\"phase\":\"%s\",\"name\":\"%s\",\"start\":%d,\"stop\":%d,\"attrs\":{%s}}\n"
                tr.tr_session sp.sp_id
                (match sp.sp_parent with Some p -> string_of_int p | None -> "null")
-               (json_escape sp.sp_phase) (json_escape sp.sp_name) sp.sp_start sp.sp_stop
+               (Json.escape sp.sp_phase) (Json.escape sp.sp_name) sp.sp_start sp.sp_stop
                (attrs_json (attr_order sp)));
           List.iter
             (fun e ->
               Buffer.add_string buf
                 (Printf.sprintf
                    "{\"type\":\"event\",\"session\":%d,\"span\":%d,\"vt\":%d,\"name\":\"%s\",\"attrs\":{%s}}\n"
-                   tr.tr_session sp.sp_id e.ev_vt (json_escape e.ev_name)
+                   tr.tr_session sp.sp_id e.ev_vt (Json.escape e.ev_name)
                    (attrs_json e.ev_attrs)))
             (event_order sp))
         (span_order tr))
@@ -298,7 +266,7 @@ let chrome ?producer ts =
         push
           (Printf.sprintf
              "{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-             tr.tr_session (json_escape p))
+             tr.tr_session (Json.escape p))
       | None -> ());
       List.iter
         (fun sp ->
@@ -306,7 +274,7 @@ let chrome ?producer ts =
           push
             (Printf.sprintf
                "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":0,\"args\":{%s}}"
-               (json_escape sp.sp_name) (json_escape sp.sp_phase) sp.sp_start
+               (Json.escape sp.sp_name) (Json.escape sp.sp_phase) sp.sp_start
                (stop - sp.sp_start) tr.tr_session
                (attrs_json (attr_order sp)));
           List.iter
@@ -314,7 +282,7 @@ let chrome ?producer ts =
               push
                 (Printf.sprintf
                    "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"ts\":%d,\"pid\":%d,\"tid\":0,\"s\":\"t\",\"args\":{%s}}"
-                   (json_escape e.ev_name) (json_escape sp.sp_phase) e.ev_vt tr.tr_session
+                   (Json.escape e.ev_name) (Json.escape sp.sp_phase) e.ev_vt tr.tr_session
                    (attrs_json e.ev_attrs)))
             (event_order sp))
         (span_order tr))

@@ -76,10 +76,6 @@ val first_root : t -> handle
     the sink is {!null}) — lets late phases (e.g. lane placement after
     the pool join) parent onto the session root. *)
 
-val wall_seconds : t -> float
-(** Wall-clock duration between the first span begin and the last span
-    end — an annotation for stderr, never part of an export. *)
-
 (** {2 Batch registry (serve layer)}
 
     One trace per session, created from whichever pool worker runs the

@@ -55,7 +55,6 @@ type shard = {
   mutable total : int;  (* monotone: one past the newest record byte *)
   mutable written : int;  (* records committed over the shard's lifetime *)
   mutable dropped : int;  (* records evicted on wrap or refused as oversized *)
-  mutable sessions : int;  (* session commits over the shard's lifetime *)
 }
 
 type t = { shards : shard array; slot : int Domain.DLS.key }
@@ -67,7 +66,7 @@ let create ?(shards = 1) ~capacity () =
   {
     shards =
       Array.init n (fun _ ->
-          { buf = Bytes.create cap; cap; first = 0; total = 0; written = 0; dropped = 0; sessions = 0 });
+          { buf = Bytes.create cap; cap; first = 0; total = 0; written = 0; dropped = 0 });
     (* first use from a domain adopts the next free shard for life; the
        mod is a defensive clamp — callers size [shards] to the writer
        count, and the single-writer guarantee needs them to *)
@@ -80,7 +79,6 @@ let shard_count t = Array.length t.shards
 let capacity t = Array.fold_left (fun acc s -> acc + s.cap) 0 t.shards
 let records_written t = Array.fold_left (fun acc s -> acc + s.written) 0 t.shards
 let records_dropped t = Array.fold_left (fun acc s -> acc + s.dropped) 0 t.shards
-let sessions_recorded t = Array.fold_left (fun acc s -> acc + s.sessions) 0 t.shards
 let bytes_resident t = Array.fold_left (fun acc s -> acc + (s.total - s.first)) 0 t.shards
 
 (* -- byte layer: LEB128 varints, zigzag for signed, length-prefixed
@@ -255,8 +253,7 @@ let record t ~keep obs =
             (fun e -> put_record s (event_size v.Obs.view_id e) (fun s -> put_event s v.Obs.view_id e))
             v.Obs.view_events)
         views;
-      put_record s (end_size ~session) (fun s -> put_end s ~session);
-      s.sessions <- s.sessions + 1
+      put_record s (end_size ~session) (fun s -> put_end s ~session)
     end;
     s.dropped - dropped0
   end

@@ -63,8 +63,6 @@ val records_dropped : t -> int
 (** Lifetime commit/drop counters across shards; monotone, so counter
     deltas survive {!drain}. *)
 
-val sessions_recorded : t -> int
-
 (** {2 Dumps} *)
 
 val dump : t -> string

@@ -134,7 +134,7 @@ let fresh policy spec =
           (Trust_core.Compile.compile
              ~lockstep:(policy.mode = Harness.Lockstep)
              ~shared:policy.shared ?plan
-             ~price:(Trust_sim.Trace.price_for cast.Harness.spec)
+             ~price:(Trust_core.Compile.price_for cast.Harness.spec)
              cast.Harness.spec cast.Harness.protocol)
       else None
     in

@@ -68,9 +68,6 @@ type recorders = {
   exposure_violations : Metrics.counter;
   exposure_peak_h : Metrics.histogram;
   exposure_ticks_h : Metrics.histogram;
-  obs_sampled : Metrics.counter;
-  obs_kept_tail : Metrics.counter;
-  obs_ring_dropped : Metrics.counter;
 }
 
 let recorders metrics =
@@ -93,13 +90,33 @@ let recorders metrics =
         exposure_violations = Metrics.counter m ~help:"single-transfer bound violations across runs" "sim_exposure_violations_total";
         exposure_peak_h = Metrics.histogram m ~help:"peak outstanding at-risk value per run (cents)" "sim_exposure_peak";
         exposure_ticks_h = Metrics.histogram m ~help:"virtual ticks with positive at-risk value per run" "sim_exposure_ticks";
-        obs_sampled = Metrics.counter m ~help:"sessions head-sampled into a live trace" "obs_sessions_sampled_total";
-        obs_kept_tail = Metrics.counter m ~help:"unsampled sessions promoted by a tail keep rule" "obs_sessions_kept_tail_total";
-        obs_ring_dropped = Metrics.counter m ~help:"trace-ring records evicted on wrap or refused oversized" "obs_ring_records_dropped_total";
       })
     metrics
 
 let record rec_opt f = Option.iter f rec_opt
+
+(* Fold one engine run into the session record and the recorders: the
+   worst attempt's peak is kept, everything else accumulates across
+   the retry. Labelled ints only, so the compiled path allocates
+   nothing here. *)
+let account (session : Session.t) rec_opt ~duration ~events ~deliveries ~stalled ~peak
+    ~risk_ticks ~violations =
+  session.Session.ticks <- session.Session.ticks + duration;
+  session.Session.events <- session.Session.events + events;
+  session.Session.stalled <- stalled;
+  session.Session.exposure_peak <- max session.Session.exposure_peak peak;
+  session.Session.exposure_ticks <- session.Session.exposure_ticks + risk_ticks;
+  session.Session.exposure_violations <- session.Session.exposure_violations + violations;
+  match rec_opt with
+  | None -> ()
+  | Some r ->
+    Metrics.incr ~by:events r.engine_events;
+    Metrics.incr ~by:deliveries r.deliveries;
+    Metrics.observe r.ticks_h duration;
+    Metrics.observe r.events_h events;
+    Metrics.observe r.exposure_peak_h peak;
+    Metrics.observe r.exposure_ticks_h risk_ticks;
+    if violations > 0 then Metrics.incr ~by:violations r.exposure_violations
 
 (* One run of an already-synthesized session on the compiled fast
    path: the cached instruction plan executes against per-domain
@@ -125,24 +142,14 @@ let run_compiled cfg (plan : Trust_core.Compile.t) (session : Session.t) ~drops 
   let summary =
     Trust_sim.Hotpath.exec ~config ~defectors:session.Session.defectors plan
   in
-  let duration = max 1 summary.Trust_sim.Hotpath.duration in
-  session.Session.ticks <- session.Session.ticks + duration;
-  session.Session.events <- session.Session.events + summary.Trust_sim.Hotpath.events;
-  session.Session.stalled <- summary.Trust_sim.Hotpath.stalled;
-  let peak = Trust_sim.Hotpath.total_peak_risk summary in
-  let risk_ticks = Trust_sim.Hotpath.total_risk_ticks summary in
-  let violations = summary.Trust_sim.Hotpath.violations in
-  session.Session.exposure_peak <- max session.Session.exposure_peak peak;
-  session.Session.exposure_ticks <- session.Session.exposure_ticks + risk_ticks;
-  session.Session.exposure_violations <- session.Session.exposure_violations + violations;
-  record rec_opt (fun r ->
-      Metrics.incr ~by:summary.Trust_sim.Hotpath.events r.engine_events;
-      Metrics.incr ~by:summary.Trust_sim.Hotpath.deliveries r.deliveries;
-      Metrics.observe r.ticks_h duration;
-      Metrics.observe r.events_h summary.Trust_sim.Hotpath.events;
-      Metrics.observe r.exposure_peak_h peak;
-      Metrics.observe r.exposure_ticks_h risk_ticks;
-      if violations > 0 then Metrics.incr ~by:violations r.exposure_violations);
+  account session rec_opt
+    ~duration:(max 1 summary.Trust_sim.Hotpath.duration)
+    ~events:summary.Trust_sim.Hotpath.events
+    ~deliveries:summary.Trust_sim.Hotpath.deliveries
+    ~stalled:summary.Trust_sim.Hotpath.stalled
+    ~peak:(Trust_sim.Hotpath.total_peak_risk summary)
+    ~risk_ticks:(Trust_sim.Hotpath.total_risk_ticks summary)
+    ~violations:summary.Trust_sim.Hotpath.violations;
   if summary.Trust_sim.Hotpath.all_preferred && summary.Trust_sim.Hotpath.stalled = 0 then
     Session.Settled
   else Session.Expired
@@ -181,31 +188,19 @@ let run_interpreted cfg ?(obs = Obs.null) ?parent (entry : Cache.entry) policy
     }
   in
   let result = Harness.run_cast ~config:engine_config ~obs ?parent cast in
-  let duration = max 1 (virtual_duration result) in
-  session.Session.ticks <- session.Session.ticks + duration;
-  session.Session.events <- session.Session.events + result.Engine.events;
-  session.Session.stalled <- List.length result.Engine.stalled;
-  (* Exposure ledger over this run: peak keeps the worst attempt, risk
-     ticks and violations accumulate across the retry. *)
   let exposure =
     Trust_sim.Exposure.of_result ?plan:entry.Cache.plan
       ~defectors:(List.map fst session.Session.defectors)
       entry.Cache.split_spec result
   in
-  let peak = Trust_sim.Exposure.total_peak_at_risk exposure in
-  let risk_ticks = Trust_sim.Exposure.total_risk_ticks exposure in
-  let violations = List.length exposure.Trust_sim.Exposure.violations in
-  session.Session.exposure_peak <- max session.Session.exposure_peak peak;
-  session.Session.exposure_ticks <- session.Session.exposure_ticks + risk_ticks;
-  session.Session.exposure_violations <- session.Session.exposure_violations + violations;
-  record rec_opt (fun r ->
-      Metrics.incr ~by:result.Engine.events r.engine_events;
-      Metrics.incr ~by:(List.length result.Engine.log) r.deliveries;
-      Metrics.observe r.ticks_h duration;
-      Metrics.observe r.events_h result.Engine.events;
-      Metrics.observe r.exposure_peak_h peak;
-      Metrics.observe r.exposure_ticks_h risk_ticks;
-      if violations > 0 then Metrics.incr ~by:violations r.exposure_violations);
+  account session rec_opt
+    ~duration:(max 1 (virtual_duration result))
+    ~events:result.Engine.events
+    ~deliveries:(List.length result.Engine.log)
+    ~stalled:(List.length result.Engine.stalled)
+    ~peak:(Trust_sim.Exposure.total_peak_at_risk exposure)
+    ~risk_ticks:(Trust_sim.Exposure.total_risk_ticks exposure)
+    ~violations:(List.length exposure.Trust_sim.Exposure.violations);
   let report =
     Audit.audit ~obs ?parent session.Session.spec ?plan:entry.Cache.plan
       ~defectors:(List.map fst session.Session.defectors)
@@ -374,6 +369,76 @@ let replay ?parent cfg cache trace (session : Session.t) =
   process_session ?parent cfg cache (Cache.policy cache) None retried trace fresh;
   fresh
 
+(* The one retention rule, shared by the batch scheduler and the
+   daemon: decide head sampling, run the pass (live sink iff sampled),
+   ask [keep_decision], replay a tail-promoted session into a fresh
+   sink, stamp the verdict and commit it to the ring. Partial
+   application to [cfg] registers the [obs_*] counters, so a caller
+   that binds it at start-up exposes them before its first session. *)
+let retain ?metrics ?(obs = Obs.no_batch) ?ring ~tracing cfg =
+  let counter help name = Option.map (fun m -> Metrics.counter m ~help name) metrics in
+  let sampled_c = counter "sessions head-sampled into a live trace" "obs_sessions_sampled_total" in
+  let kept_tail_c =
+    counter "unsampled sessions promoted by a tail keep rule" "obs_sessions_kept_tail_total"
+  in
+  let ring_dropped_c =
+    counter "trace-ring records evicted on wrap or refused oversized"
+      "obs_ring_records_dropped_total"
+  in
+  let bump ?by c = Option.iter (Metrics.incr ?by) c in
+  (* the batch export owns one slot per session, touched only by the
+     pool job running it and published by the shutdown join, so no
+     locking; everyone else traces into a standalone sink *)
+  let sink id =
+    if Obs.batch_enabled obs then Obs.session_trace obs id else Obs.create ~session:id ()
+  in
+  fun id pass ->
+    if not tracing then begin
+      ignore (pass ~record:true Obs.null : Session.t option);
+      None
+    end
+    else begin
+      let sampled = session_sampled cfg id in
+      let trace = if sampled then sink id else Obs.null in
+      let closed = pass ~record:true trace in
+      if sampled then bump sampled_c;
+      let keep =
+        match closed with
+        | Some session -> keep_decision ~sampled session
+        (* a pass that never made a session (a daemon parse failure)
+           has nothing for the tail rules to look at *)
+        | None -> if sampled then Some Ring.Sampled else None
+      in
+      match keep with
+      | None -> None
+      | Some keep ->
+        let trace =
+          if sampled then trace
+          else begin
+            (* tail promotion: the session ran untraced on the compiled
+               path; determinism makes the replay's trace exactly what
+               head sampling would have recorded *)
+            bump kept_tail_c;
+            let live = sink id in
+            ignore (pass ~record:false live : Session.t option);
+            live
+          end
+        in
+        (* stamp the keep verdict on the root after the fact (attrs on
+           finished spans don't tick the clock): ring dumps and exports
+           then agree on why each session was retained, which is what
+           lets Mine fold either one identically *)
+        Obs.attr trace (Obs.first_root trace) "keep" (Obs.Str (Ring.keep_label keep));
+        Option.iter
+          (fun ring ->
+            (* on a pool worker the commit lands in that domain's own
+               shard — the lock-free discipline Ring pins *)
+            let evicted = Ring.record ring ~keep trace in
+            if evicted > 0 then bump ~by:evicted ring_dropped_c)
+          ring;
+        Some trace
+    end
+
 let run ?metrics ?(obs = Obs.no_batch) ?ring cfg cache sessions =
   if cfg.concurrency < 1 then invalid_arg "Scheduler.run: concurrency must be >= 1";
   if cfg.jobs < 1 then invalid_arg "Scheduler.run: jobs must be >= 1";
@@ -385,49 +450,20 @@ let run ?metrics ?(obs = Obs.no_batch) ?ring cfg cache sessions =
      untraced — hence compiled, allocation-free — path and is only
      looked at again by the tail keep rules at close. *)
   let tracing = Obs.batch_enabled obs || Option.is_some ring in
-  let slot_trace (session : Session.t) =
-    (* Each slot of the batch registry is touched by exactly one job —
-       the one running its session — so traces need no locking; the
-       pool's shutdown join publishes them before the merge phase.
-       Ring-only runs (no batch export) use a standalone trace. *)
-    if Obs.batch_enabled obs then Obs.session_trace obs session.Session.id
-    else Obs.create ~session:session.Session.id ()
-  in
+  let retain = retain ?metrics ~obs ?ring ~tracing cfg in
   let process (session : Session.t) =
-    let sampled = tracing && session_sampled cfg session.Session.id in
-    let trace = if sampled then slot_trace session else Obs.null in
-    process_session cfg cache policy rec_opt retried trace session;
-    if tracing then begin
-      if sampled then record rec_opt (fun r -> Metrics.incr r.obs_sampled);
-      match keep_decision ~sampled session with
-      | None -> ()
-      | Some keep ->
-        let trace =
-          if Obs.enabled trace then trace
-          else begin
-            (* tail promotion of an unsampled session: replay it into
-               the batch slot (or a standalone trace) so the durable
-               export carries it alongside the head-sampled set *)
-            record rec_opt (fun r -> Metrics.incr r.obs_kept_tail);
-            let slot = slot_trace session in
-            ignore (replay cfg cache slot session : Session.t);
-            slot
-          end
-        in
-        (* stamp the keep verdict on the root after the fact (attrs on
-           finished spans don't tick the clock): ring dumps and the
-           JSONL export then agree on why each session was retained,
-           which is what lets Mine fold either one identically *)
-        Obs.attr trace (Obs.first_root trace) "keep" (Obs.Str (Ring.keep_label keep));
-        Option.iter
-          (fun ring ->
-            (* runs on the worker domain, so the commit lands in this
-               domain's own shard — the lock-free discipline Ring pins *)
-            let evicted = Ring.record ring ~keep trace in
-            if evicted > 0 then
-              record rec_opt (fun r -> Metrics.incr ~by:evicted r.obs_ring_dropped))
-          ring
-    end
+    (* untraced sessions skip [retain], so the hot path builds no
+       per-session closure or option *)
+    if not tracing then process_session cfg cache policy rec_opt retried Obs.null session
+    else
+      ignore
+        (retain session.Session.id (fun ~record trace ->
+             if record then begin
+               process_session cfg cache policy rec_opt retried trace session;
+               Some session
+             end
+             else Some (replay cfg cache trace session))
+          : Obs.t option)
   in
   (* Phase 1 — execute. Every session owns its mutable record, the
      cache is sharded behind per-shard locks and the metrics are

@@ -106,6 +106,35 @@ val replay :
     a second synthesis, typically a hit. Returns the replayed session
     record. *)
 
+val retain :
+  ?metrics:Metrics.t ->
+  ?obs:Trust_obs.Obs.batch ->
+  ?ring:Trust_obs.Ring.t ->
+  tracing:bool ->
+  config ->
+  int ->
+  (record:bool -> Trust_obs.Obs.t -> Session.t option) ->
+  Trust_obs.Obs.t option
+(** [retain ~tracing cfg id pass] is the session-close retention rule
+    the batch ({!run}) and the daemon share. [pass ~record sink] runs
+    one lifecycle of session [id] against [sink] and returns the closed
+    session ([None] when the pass never made one, e.g. a spec that did
+    not parse); [record] is [false] only on the tail replay, which must
+    count nothing.
+
+    With [tracing] off the pass runs untraced and nothing is kept.
+    Otherwise: {!session_sampled} picks the sink (a slot of the enabled
+    [obs] batch, else a standalone trace), the pass runs,
+    {!keep_decision} rules, a tail-promoted session's pass is re-run
+    into a fresh sink, the root is stamped with the [keep] label, and
+    the trace is committed to [ring] (on the calling domain's shard).
+    Returns the kept trace, if any.
+
+    [obs_sessions_sampled_total], [obs_sessions_kept_tail_total] and
+    [obs_ring_records_dropped_total] count into [metrics]; they are
+    registered when [retain] is applied to [cfg], so binding the
+    partial application once exposes them before the first session. *)
+
 val run :
   ?metrics:Metrics.t ->
   ?obs:Trust_obs.Obs.batch ->
@@ -131,8 +160,8 @@ val run :
     cache hit/miss — which races across jobs — is recorded as a
     volatile attribute that exporters skip.
 
-    Tracing engages the sampler: only sessions passing
-    {!session_sampled} run with a live trace (the rest keep the
+    Tracing engages the sampler through {!retain}: only sessions
+    passing {!session_sampled} run with a live trace (the rest keep the
     untraced compiled fast path), and at close {!keep_decision} either
     drops the session or commits it — tail-promoted sessions are
     {!replay}ed first so the batch export and the [ring] carry their

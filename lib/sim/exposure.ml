@@ -64,16 +64,7 @@ type t = {
   duration : int;
 }
 
-(* §5: a feasible sequence keeps at most one transfer of a party in
-   flight, so its worst honest-run position is its single largest
-   outgoing transfer. *)
-let single_transfer_bound spec party =
-  List.fold_left
-    (fun acc (cref, d) ->
-      if Party.equal (Spec.commitment_principal d cref.Spec.side) party then
-        max acc (Trace.price_for spec party (Spec.commitment_sends d cref.Spec.side))
-      else acc)
-    0 (Spec.commitments spec)
+let single_transfer_bound spec party = Trust_core.Compile.single_transfer_bound spec party
 
 (* -- mutable fold state -- *)
 
@@ -130,7 +121,7 @@ type pstate = {
 let at_risk_of p = max 0 (p.p_released - p.p_received)
 
 let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
-  let price = Trace.price_for spec in
+  let price = Trust_core.Compile.price_for spec in
   let principals = Spec.principals spec in
   let pstates =
     List.map

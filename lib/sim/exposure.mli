@@ -20,8 +20,8 @@
     contributor, so forwards, migrations between agents, §2.2 deadline
     refunds and §6 forfeitures all land on the right principal's
     ledger. Valuations follow the cost-basis rule of
-    {!Trace.price_for}: money at face value, a document at what the
-    party pays (or failing that, is paid) for it.
+    {!Trust_core.Compile.price_for}: money at face value, a document at
+    what the party pays (or failing that, is paid) for it.
 
     The ledger checks two invariants for {e honest} principals:
     [Bound_exceeded] — at-risk value above the party's
@@ -82,9 +82,8 @@ type t = {
 }
 
 val single_transfer_bound : Spec.t -> Party.t -> Asset.money
-(** The §5 bound: the largest single transfer the party's commitments
-    ever put in flight — [max] over its deal sides of the value it
-    sends (documents at cost basis). *)
+(** {!Trust_core.Compile.single_transfer_bound} at the spec's own
+    valuation. *)
 
 val of_result :
   ?plan:Trust_core.Indemnity.plan ->

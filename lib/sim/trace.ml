@@ -19,37 +19,9 @@ let performed_by t party =
       else None)
     t.result.Engine.log
 
-let final_state t = t.result.Engine.state
-
 type exposure = { at : int; outlay : Asset.money; goods_out : int; covered : Asset.money }
 
-(* What an asset is worth to a given party: money at face value; a
-   document at what the party pays for it (its cost basis) or, failing
-   that, what it is paid for it. *)
-let price_for spec party asset =
-  match asset with
-  | Asset.Money m -> m
-  | Asset.Document _ ->
-    let deals_pricing ~receiving =
-      List.filter_map
-        (fun (cref, d) ->
-          let mine = Party.equal (Spec.commitment_principal d cref.Spec.side) party in
-          let flow =
-            if receiving then Spec.commitment_expects d cref.Spec.side
-            else Spec.commitment_sends d cref.Spec.side
-          in
-          if mine && Asset.equal flow asset then
-            let counter_flow =
-              if receiving then Spec.commitment_sends d cref.Spec.side
-              else Spec.commitment_expects d cref.Spec.side
-            in
-            Some (Asset.value counter_flow)
-          else None)
-        (Spec.commitments spec)
-    in
-    (match deals_pricing ~receiving:true with
-    | price :: _ -> price
-    | [] -> ( match deals_pricing ~receiving:false with price :: _ -> price | [] -> 0))
+let price_for = Trust_core.Compile.price_for
 
 let exposure_profile t party =
   let price = price_for t.spec party in
@@ -95,13 +67,3 @@ let total_peak_exposure t =
 
 let duration t =
   List.fold_left (fun acc d -> max acc d.Engine.at) 0 t.result.Engine.log
-
-let pp_profile ppf profile =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "t=%-4d outlay=%a covered=%a goods_out=%d uncovered=%a@," s.at
-        Asset.pp_money s.outlay Asset.pp_money s.covered s.goods_out Asset.pp_money
-        (max 0 (s.outlay - s.covered)))
-    profile;
-  Format.fprintf ppf "@]"

@@ -24,7 +24,6 @@ val view_of : t -> Party.t -> Engine.delivery list
     sees (§9). *)
 
 val performed_by : t -> Party.t -> Action.t list
-val final_state : t -> State.t
 
 (** {1 Exposure} *)
 
@@ -32,7 +31,7 @@ val price_for : Spec.t -> Party.t -> Asset.t -> Asset.money
 (** What an asset is worth to a party: money at face value; a document
     at what the party pays for it in the spec (its cost basis) or,
     failing that, what it is paid for it; [0] when the party never
-    trades it. Shared with the {!Exposure} ledger. *)
+    trades it. Re-exports {!Trust_core.Compile.price_for}. *)
 
 type exposure = {
   at : int;  (** tick *)
@@ -62,5 +61,3 @@ val total_peak_exposure : t -> Asset.money
 
 val duration : t -> int
 (** Tick of the last delivery ([0] for an empty log). *)
-
-val pp_profile : Format.formatter -> exposure list -> unit

@@ -37,7 +37,6 @@ let chain ~brokers = chain_spec ~brokers ~direct:false
 let chain_direct ~brokers = chain_spec ~brokers ~direct:true
 
 let fan_consumer = consumer
-let fan_sale_ref i = { Spec.deal = Printf.sprintf "cb%d" i; side = Spec.Left }
 
 let fan ~prices =
   if prices = [] then invalid_arg "Gen.fan: empty price list";

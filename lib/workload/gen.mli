@@ -28,8 +28,6 @@ val fan : prices:Asset.money list -> Spec.t
     @raise Invalid_argument on an empty price list. *)
 
 val fan_consumer : Party.t
-val fan_sale_ref : int -> Spec.commitment_ref
-(** The consumer-side commitment for document [i] (1-based). *)
 
 val bundle : docs:int -> Spec.t
 (** [bundle ~docs:k] — a consumer buys [k] documents directly from [k]

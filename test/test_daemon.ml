@@ -188,11 +188,11 @@ let sock_path name = Printf.sprintf "/tmp/trustseq-test-%d-%s.sock" (Unix.getpid
 
 (* Start a server in its own domain, run [f client_addr stop], then
    stop, join, and hand the final stats to [after]. *)
-let with_server ?(config = Server.default) name f after =
+let with_server ?(config = Server.default) ?metrics name f after =
   let path = sock_path name in
   let stop = Atomic.make false in
   let cfg = { config with Server.unix_path = Some path } in
-  let srv = Domain.spawn (fun () -> Server.run ~stop cfg) in
+  let srv = Domain.spawn (fun () -> Server.run ~stop ?metrics cfg) in
   let rec await n =
     if Sys.file_exists path then ()
     else if n = 0 then Alcotest.fail "server socket never appeared"
@@ -450,6 +450,110 @@ let test_server_trace_disabled_is_empty () =
         Client.close client)
     (fun stats -> check_int "nothing served" 0 stats.Server.served)
 
+(* The daemon and the batch scheduler share one retention rule: the
+   same specs, scheduler seed, sample rate and defector rule must keep
+   the same sessions for the same reasons, and count them alike. *)
+let test_retention_matches_batch () =
+  let defect_every = 3 and rate = 0.25 in
+  let sched =
+    { Scheduler.default_config with Scheduler.seed = 11L; drop_rate = 0.1; sample_rate = rate }
+  in
+  let double_spend =
+    String.concat "\n"
+      [
+        "principal b : broker";
+        "principal c1 : consumer";
+        "principal c2 : consumer";
+        "trusted t1";
+        "trusted t2";
+        "deal s1: c1 pays $10; b gives \"d\"; via t1";
+        "deal s2: c2 pays $10; b gives \"d\"; via t2";
+        "";
+      ]
+  in
+  let texts =
+    let rng = Workload.Prng.create 5L in
+    List.init 40 (fun i ->
+        if i mod 10 = 4 then double_spend
+        else
+          Trust_lang.Printer.to_string
+            (Workload.Gen.random_transaction rng Workload.Gen.default_mix))
+  in
+  let capacity = 1 lsl 22 in
+  let counts metrics =
+    List.map
+      (fun name -> (name, Trust_serve.Metrics.value (Trust_serve.Metrics.counter metrics name)))
+      [
+        "obs_sessions_sampled_total";
+        "obs_sessions_kept_tail_total";
+        "obs_ring_records_dropped_total";
+      ]
+  in
+  let labels sessions =
+    List.sort compare
+      (List.map (fun s -> (s.Ring.s_id, Ring.keep_label s.Ring.s_keep)) sessions)
+  in
+  (* batch: the daemon's parse and defector rule, applied up front *)
+  let batch_metrics = Trust_serve.Metrics.create () in
+  let ring = Ring.create ~capacity () in
+  let sessions =
+    List.mapi
+      (fun n text ->
+        match Trust_lang.Elaborate.from_string text with
+        | Error e -> Alcotest.fail e
+        | Ok spec ->
+          let defectors =
+            if (n + 1) mod defect_every = 0 then
+              match Trust_sim.Harness.defectable_principals spec with
+              | party :: _ -> [ (party, Trust_sim.Harness.Silent) ]
+              | [] -> []
+            else []
+          in
+          Trust_serve.Session.make ~id:n ~defectors spec)
+      texts
+  in
+  ignore
+    (Scheduler.run ~metrics:batch_metrics ~ring sched
+       (Trust_serve.Cache.create Trust_serve.Cache.default_policy)
+       sessions
+      : Scheduler.stats);
+  let batch_labels = labels (fst (decode_exn (Ring.drain ring))) in
+  (* daemon: the same texts over the wire, in order *)
+  let daemon_metrics = Trust_serve.Metrics.create () in
+  let daemon_labels = ref [] in
+  with_server "retention" ~metrics:daemon_metrics
+    ~config:
+      {
+        Server.default with
+        Server.scheduler = sched;
+        trace_sample = rate;
+        trace_ring = capacity;
+        defect_every;
+      }
+    (fun addr _stop ->
+      match Client.connect addr with
+      | Error e -> Alcotest.fail e
+      | Ok client ->
+        List.iteri
+          (fun id spec ->
+            match Client.submit client ~id ~spec with
+            | Ok (Wire.Result _ | Wire.Refused _) -> ()
+            | Ok _ -> Alcotest.fail "expected a result"
+            | Error e -> Alcotest.fail e)
+          texts;
+        (match Client.trace client ~id:(List.length texts) with
+        | Error e -> Alcotest.fail e
+        | Ok dump -> daemon_labels := labels (fst (decode_exn dump)));
+        Client.close client)
+    (fun _ -> ());
+  let kinds = List.sort_uniq compare (List.map snd batch_labels) in
+  check "the workload exercises head and tail keeps" true
+    (List.mem "sampled" kinds && List.length kinds >= 3);
+  Alcotest.(check (list (pair int string))) "same keep label per session" batch_labels
+    !daemon_labels;
+  Alcotest.(check (list (pair string int))) "same retention counters" (counts batch_metrics)
+    (counts daemon_metrics)
+
 let () =
   Alcotest.run "daemon"
     [
@@ -483,5 +587,6 @@ let () =
           Alcotest.test_case "trace drains the ring" `Quick test_server_trace_drain;
           Alcotest.test_case "tail promotion over the wire" `Quick test_server_trace_tail_promotion;
           Alcotest.test_case "trace with tracing off" `Quick test_server_trace_disabled_is_empty;
+          Alcotest.test_case "retention matches the batch" `Quick test_retention_matches_batch;
         ] );
     ]

@@ -7,10 +7,13 @@ let check_int = Alcotest.(check int)
 
 let path n =
   let g = Digraph.create () in
-  let nodes = Digraph.add_nodes g n in
-  List.iteri
-    (fun i u -> if i + 1 < n then Digraph.add_edge g u (List.nth nodes (i + 1)))
-    nodes;
+  let rec link = function
+    | u :: (v :: _ as rest) ->
+      Digraph.add_edge g u v;
+      link rest
+    | [ _ ] | [] -> ()
+  in
+  link (Digraph.add_nodes g n);
   g
 
 let cycle n =
