@@ -29,7 +29,7 @@
 
 open Exchange
 module Execution = Trust_core.Execution
-module Compile = Trust_core.Compile
+module Spec_index = Trust_core.Spec_index
 
 type delta = {
   d_party : Party.t;
@@ -40,7 +40,7 @@ type delta = {
 type astep = {
   a_index : int;  (** the execution step's 1-based index *)
   a_deal : string option;  (** owning deal; [None] for notifications *)
-  a_label : string;
+  a_step : Execution.step;  (** rendered on demand by [label] *)
   a_deltas : delta list;
 }
 
@@ -76,11 +76,12 @@ let pp_origin ppf = function
   | Execution.Notification owner ->
     Format.fprintf ppf "conjunction %s" (Party.name owner)
 
-let compile_step spec (step : Execution.step) =
-  let label =
-    Format.asprintf "%a  (%a)" Action.pp step.Execution.action pp_origin
-      step.Execution.origin
-  in
+let label a =
+  Format.asprintf "%a  (%a)" Action.pp a.a_step.Execution.action pp_origin
+    a.a_step.Execution.origin
+
+let compile_step index price (step : Execution.step) =
+  let spec = Spec_index.spec index in
   let deal, deltas =
     match (step.Execution.origin, step.Execution.action) with
     | Execution.Notification _, _ | _, Action.Notify _ -> (None, [])
@@ -89,7 +90,7 @@ let compile_step spec (step : Execution.step) =
          escrow, so treating one as a no-op stays an upper bound *)
       (None, [])
     | Execution.Commit cref, Action.Do _ -> (
-      match Spec.find_deal spec cref.Spec.deal with
+      match Spec_index.find_deal index cref.Spec.deal with
       | None -> (None, [])
       | Some d ->
         let side = cref.Spec.side in
@@ -104,18 +105,18 @@ let compile_step spec (step : Execution.step) =
           else if Party.equal counterpart agent then
             (* direct trust: the commit is itself the delivery *)
             [
-              release principal (Compile.price_for spec principal asset);
-              receive counterpart (Compile.price_for spec counterpart asset);
+              release principal (price principal asset);
+              receive counterpart (price counterpart asset);
             ]
           else if Party.is_principal agent then
             (* custody at a third-party persona: out of the principal's
                hands and into another principal's — at risk now *)
-            [ release principal (Compile.price_for spec principal asset) ]
+            [ release principal (price principal asset) ]
           else (* genuine trusted agent: protected escrow *) []
         in
         (Some d.Spec.id, deltas))
     | Execution.Forward id, Action.Do tr -> (
-      match Spec.find_deal spec id with
+      match Spec_index.find_deal index id with
       | None -> (Some id, [])
       | Some d ->
         (* the forwarded asset is the [side] principal's commitment,
@@ -141,57 +142,16 @@ let compile_step spec (step : Execution.step) =
           let releases =
             if Party.equal principal agent then
               (* own-agent commit was virtual: the outlay happens here *)
-              [ release principal (Compile.price_for spec principal asset) ]
+              [ release principal (price principal asset) ]
             else if Party.is_trusted agent then
               (* escrow settles away from the contributor *)
-              [ release principal (Compile.price_for spec principal asset) ]
+              [ release principal (price principal asset) ]
             else (* persona custody: already released at commit *) []
           in
           ( Some id,
-            releases @ [ receive counterpart (Compile.price_for spec counterpart asset) ] )))
+            releases @ [ receive counterpart (price counterpart asset) ] )))
   in
-  { a_index = step.Execution.index; a_deal = deal; a_label = label; a_deltas = deltas }
-
-(* ------------------------------------------------------------------ *)
-(* The defector's reach: deals it participates in, closed under
-   document supply (a resale cannot complete if its supplier stalls). *)
-
-let touched_deals spec q =
-  let seed =
-    List.filter_map
-      (fun (d : Spec.deal) ->
-        if Party.equal d.Spec.left q || Party.equal d.Spec.right q then
-          Some d.Spec.id
-        else None)
-      spec.Spec.deals
-  in
-  let supplies touched (d : Spec.deal) =
-    List.exists
-      (fun side ->
-        match Spec.commitment_sends d side with
-        | Asset.Money _ -> false
-        | Asset.Document _ as doc ->
-          let p = Spec.commitment_principal d side in
-          List.exists
-            (fun ((cref : Spec.commitment_ref), e) ->
-              List.mem e.Spec.id touched
-              && Party.equal (Spec.commitment_principal e cref.Spec.side) p
-              && Asset.equal (Spec.commitment_expects e cref.Spec.side) doc)
-            (Spec.commitments spec))
-      [ Spec.Left; Spec.Right ]
-  in
-  let rec close touched =
-    let more =
-      List.filter_map
-        (fun (d : Spec.deal) ->
-          if List.mem d.Spec.id touched then None
-          else if supplies touched d then Some d.Spec.id
-          else None)
-        spec.Spec.deals
-    in
-    if more = [] then touched else close (more @ touched)
-  in
-  close seed
+  { a_index = step.Execution.index; a_deal = deal; a_step = step; a_deltas = deltas }
 
 (* Principals that do not play a trusted role — the parties whose
    defection the formalism claims to protect against (a persona is
@@ -205,84 +165,140 @@ let defectable spec =
     (Spec.principals spec)
 
 (* ------------------------------------------------------------------ *)
-(* Interval computation.                                               *)
+(* Interval computation.
 
-let net_of step party =
-  List.fold_left
-    (fun acc d ->
-      if Party.equal d.d_party party then acc + d.d_release - d.d_receive
-      else acc)
-    0 step.a_deltas
+   Steps are addressed by their position in the sequence. Each
+   principal's net position change per step is tabulated once, so the
+   per-defector worst cases below are integer prefix scans. *)
 
-(* Maximal prefix sum over [steps] of [party]'s net position, with the
-   number of steps in the maximizing prefix. The empty prefix is legal,
+(* Maximal prefix sum of [net] over the positions [ords], with the
+   length of the first prefix attaining it. The empty prefix is legal,
    so the result is >= 0. *)
-let max_prefix steps party =
-  let _, best, best_len, _ =
-    List.fold_left
-      (fun (sum, best, best_len, len) step ->
-        let sum = sum + net_of step party in
-        let len = len + 1 in
-        if sum > best then (sum, sum, len, len) else (sum, best, best_len, len))
-      (0, 0, 0, 0) steps
-  in
-  (best, best_len)
+let max_prefix net ords =
+  let sum = ref 0 and best = ref 0 and best_len = ref 0 in
+  for i = 0 to Array.length ords - 1 do
+    sum := !sum + net.(ords.(i));
+    if !sum > !best then begin
+      best := !sum;
+      best_len := i + 1
+    end
+  done;
+  (!best, !best_len)
 
-let worst_case steps touched party =
-  let base = List.filter (fun s -> s.a_deal = None || not (List.mem (Option.get s.a_deal) touched)) steps in
-  let base_risk, base_len = max_prefix base party in
+(* What one defector (or none: the honest run) can do to the
+   schedule: the steps it leaves running, and the own steps of every
+   deal it can stall, in [Spec_index.touched_deals] order. Computed
+   once per defector and shared by every principal's interval. *)
+type reach = {
+  r_defector : Party.t option;
+  r_base : int array;
+  r_stalls : (string * int array) list;
+}
+
+let risk_of net r =
+  List.fold_left
+    (fun acc (_, own) -> acc + fst (max_prefix net own))
+    (fst (max_prefix net r.r_base))
+    r.r_stalls
+
+(* The maximizing schedule behind [risk_of]: the untouched schedule's
+   worst prefix joined with each stalled deal's own worst prefix, in
+   step-index order ([order] lists the positions by index). *)
+let witness_of steps order net r =
+  let base_risk, base_len = max_prefix net r.r_base in
   let stalls =
     List.map
-      (fun deal ->
-        let own = List.filter (fun s -> s.a_deal = Some deal) steps in
-        let gain, kept = max_prefix own party in
+      (fun (deal, own) ->
+        let gain, kept = max_prefix net own in
         (deal, own, gain, kept))
-      touched
+      r.r_stalls
   in
   let risk = List.fold_left (fun acc (_, _, g, _) -> acc + g) base_risk stalls in
+  let kept = Array.make (Array.length steps) false in
+  let keep ords len = for i = 0 to len - 1 do kept.(ords.(i)) <- true done in
+  keep r.r_base base_len;
+  List.iter (fun (_, own, _, len) -> keep own len) stalls;
   let kept_steps =
-    List.filteri (fun i _ -> i < base_len) base
-    @ List.concat_map
-        (fun (_, own, _, kept) -> List.filteri (fun i _ -> i < kept) own)
-        stalls
-    |> List.sort (fun a b -> Int.compare a.a_index b.a_index)
+    Array.fold_right (fun o acc -> if kept.(o) then steps.(o) :: acc else acc) order []
   in
   let stalled =
     List.filter_map
       (fun (deal, own, _, kept) ->
-        if kept < List.length own then Some (deal, kept) else None)
+        if kept < Array.length own then Some (deal, kept) else None)
       stalls
   in
-  (risk, kept_steps, stalled)
+  { w_defector = r.r_defector; w_at_risk = risk; w_kept = kept_steps; w_stalled = stalled }
 
-let interval_of spec steps defectables party =
-  let bound = Compile.single_transfer_bound spec party in
-  let lo, honest_steps, _ = worst_case steps [] party in
-  let honest =
-    { w_defector = None; w_at_risk = lo; w_kept = honest_steps; w_stalled = [] }
+let reaches index steps defectables =
+  let by_deal : (string, int list) Hashtbl.t = Hashtbl.create 16 in
+  for o = Array.length steps - 1 downto 0 do
+    match steps.(o).a_deal with
+    | Some deal ->
+      Hashtbl.replace by_deal deal (o :: Option.value ~default:[] (Hashtbl.find_opt by_deal deal))
+    | None -> ()
+  done;
+  let own_steps : (string, int array) Hashtbl.t = Hashtbl.create 16 in
+  Hashtbl.iter (fun deal ords -> Hashtbl.replace own_steps deal (Array.of_list ords)) by_deal;
+  let own deal = (deal, Option.value ~default:[||] (Hashtbl.find_opt own_steps deal)) in
+  List.filter_map
+    (fun q ->
+      match Spec_index.touched_deals index q with
+      | [] -> None
+      | touched ->
+        let stalled = Hashtbl.create 8 in
+        List.iter (fun deal -> Hashtbl.replace stalled deal ()) touched;
+        let base = ref [] in
+        for o = Array.length steps - 1 downto 0 do
+          match steps.(o).a_deal with
+          | Some deal when Hashtbl.mem stalled deal -> ()
+          | Some _ | None -> base := o :: !base
+        done;
+        Some
+          { r_defector = Some q; r_base = Array.of_list !base; r_stalls = List.map own touched })
+    defectables
+
+let interval_of index steps order honest reaches party =
+  let bound = Spec_index.single_transfer_bound index party in
+  let net =
+    Array.map
+      (fun s ->
+        List.fold_left
+          (fun acc d ->
+            if Party.equal d.d_party party then acc + d.d_release - d.d_receive else acc)
+          0 s.a_deltas)
+      steps
   in
-  let worst =
+  let lo = risk_of net honest in
+  (* the first reach attaining the worst case; only its schedule is built *)
+  let worst, _ =
     List.fold_left
-      (fun acc q ->
-        if Party.equal q party then acc
-        else
-          let touched = touched_deals spec q in
-          if touched = [] then acc
-          else
-            let risk, kept, stalled = worst_case steps touched party in
-            if risk > acc.w_at_risk then
-              { w_defector = Some q; w_at_risk = risk; w_kept = kept; w_stalled = stalled }
-            else acc)
-      honest defectables
+      (fun ((_, best) as acc) r ->
+        match r.r_defector with
+        | Some q when Party.equal q party -> acc
+        | Some _ | None ->
+          let risk = risk_of net r in
+          if risk > best then (r, risk) else acc)
+      (honest, lo) reaches
   in
-  { i_party = party; i_bound = bound; i_lo = lo; i_hi = worst.w_at_risk; i_witness = worst }
+  let witness = witness_of steps order net worst in
+  { i_party = party; i_bound = bound; i_lo = lo; i_hi = witness.w_at_risk; i_witness = witness }
 
-let of_sequence (seq : Execution.sequence) =
+let of_sequence ?index (seq : Execution.sequence) =
   let spec = seq.Execution.spec in
-  let steps = List.map (compile_step spec) seq.Execution.steps in
-  let defectables = defectable spec in
+  let index = match index with Some index -> index | None -> Spec_index.make spec in
+  let price = Spec_index.price index in
+  let steps = List.map (compile_step index price) seq.Execution.steps in
+  let positions = Array.of_list steps in
+  let honest =
+    { r_defector = None; r_base = Array.init (Array.length positions) Fun.id; r_stalls = [] }
+  in
+  let reaches = reaches index positions (defectable spec) in
+  let order = Array.init (Array.length positions) Fun.id in
+  Array.stable_sort
+    (fun a b -> Int.compare positions.(a).a_index positions.(b).a_index)
+    order;
   let intervals =
-    List.map (interval_of spec steps defectables) (Spec.principals spec)
+    List.map (interval_of index positions order honest reaches) (Spec.principals spec)
   in
   { spec; steps; intervals }
 

@@ -23,7 +23,7 @@ type delta = {
 type astep = {
   a_index : int;  (** the execution step's 1-based index *)
   a_deal : string option;  (** owning deal; [None] for notifications *)
-  a_label : string;  (** rendered action and origin *)
+  a_step : Trust_core.Execution.step;  (** the analyzed step, see {!label} *)
   a_deltas : delta list;
 }
 
@@ -49,13 +49,15 @@ val proved : interval -> bool
 (** [i_hi <= i_bound]: the §5 single-transfer bound holds for this
     principal under every modelled behavior. *)
 
-val of_sequence : Trust_core.Execution.sequence -> t
+val of_sequence : ?index:Trust_core.Spec_index.t -> Trust_core.Execution.sequence -> t
 (** Compile and analyze a synthesized sequence. One interval per
-    principal, in spec first-appearance order. *)
+    principal, in spec first-appearance order. [index] (default: built
+    here) is the sequence spec's {!Trust_core.Spec_index}: prices,
+    bounds and each defector's reach are read off it. *)
 
-val touched_deals : Spec.t -> Party.t -> string list
-(** Deals a defecting party can stall: its own, closed under document
-    supply (a resale cannot complete when its supplier stalls). *)
+val label : astep -> string
+(** The step's action and origin, rendered for a schedule note. Only
+    the witness steps a diagnostic prints are ever rendered. *)
 
 val defectable : Spec.t -> Party.t list
 (** Principals that play no trusted role (mirror of

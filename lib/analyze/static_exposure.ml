@@ -14,8 +14,8 @@ type t = { verdict : verdict; intervals : Absint.interval list; steps : int }
 
 let vacuous = { verdict = Vacuous; intervals = []; steps = 0 }
 
-let of_sequence seq =
-  let a = Absint.of_sequence seq in
+let of_sequence ?index seq =
+  let a = Absint.of_sequence ?index seq in
   let verdict =
     if List.for_all Absint.proved a.Absint.intervals then Proved else Refuted
   in
@@ -55,7 +55,7 @@ let schedule_notes (w : Absint.witness) =
   header
   :: List.map
        (fun (s : Absint.astep) ->
-         Printf.sprintf "  %2d. %s" s.Absint.a_index s.Absint.a_label)
+         Printf.sprintf "  %2d. %s" s.Absint.a_index (Absint.label s))
        w.Absint.w_kept
 
 let diagnostics t =

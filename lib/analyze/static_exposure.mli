@@ -22,7 +22,8 @@ val analyze : Exchange.Spec.t -> t
 val of_analysis : Trust_core.Feasibility.analysis -> t
 (** Check an already-computed analysis, reusing its sequence. *)
 
-val of_sequence : Trust_core.Execution.sequence -> t
+val of_sequence : ?index:Trust_core.Spec_index.t -> Trust_core.Execution.sequence -> t
+(** Check a synthesized sequence; [index] as for {!Absint.of_sequence}. *)
 
 val refuted : t -> Absint.interval list
 (** The intervals whose bound could not be proved. *)

@@ -125,48 +125,20 @@ let send_transfer spec d side =
   Action.{ source = principal; target; asset = Spec.commitment_sends d side }
 
 (* -- §5 valuation: the one definition the dynamic ledgers and the
-      static analysis price exposure by -- *)
+      static analysis price exposure by, read off a spec index -- *)
 
-let price_for spec party asset =
-  match asset with
-  | Asset.Money m -> m
-  | Asset.Document _ ->
-    let deals_pricing ~receiving =
-      List.filter_map
-        (fun ((cref : Spec.commitment_ref), d) ->
-          let mine = Party.equal (Spec.commitment_principal d cref.Spec.side) party in
-          let flow =
-            if receiving then Spec.commitment_expects d cref.Spec.side
-            else Spec.commitment_sends d cref.Spec.side
-          in
-          if mine && Asset.equal flow asset then
-            let counter_flow =
-              if receiving then Spec.commitment_sends d cref.Spec.side
-              else Spec.commitment_expects d cref.Spec.side
-            in
-            Some (Asset.value counter_flow)
-          else None)
-        (Spec.commitments spec)
-    in
-    (match deals_pricing ~receiving:true with
-    | price :: _ -> price
-    | [] -> ( match deals_pricing ~receiving:false with price :: _ -> price | [] -> 0))
+let price_for spec = Spec_index.price (Spec_index.make spec)
 
 (* §5: a feasible sequence keeps at most one transfer of a party in
    flight, so its worst honest position is its single largest outgoing
    transfer. *)
 let single_transfer_bound ?price spec party =
-  let price = match price with Some p -> p | None -> price_for spec in
-  List.fold_left
-    (fun acc ((cref : Spec.commitment_ref), d) ->
-      if Party.equal (Spec.commitment_principal d cref.Spec.side) party then
-        max acc (price party (Spec.commitment_sends d cref.Spec.side))
-      else acc)
-    0 (Spec.commitments spec)
+  Spec_index.single_transfer_bound ?price (Spec_index.make spec) party
 
-let compile ~lockstep ~shared ?plan ~price spec protocol =
+let compile ?index ~lockstep ~shared ?plan ~price spec protocol =
   if not (Party.Map.is_empty spec.Spec.overrides) then
     invalid_arg "Compile.compile: acceptability overrides are not compilable";
+  let index = match index with Some index -> index | None -> Spec_index.make spec in
   let deals = Array.of_list spec.Spec.deals in
   let n_deals = Array.length deals in
   let deal_index id =
@@ -288,9 +260,7 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
         (fun s -> match s.Protocol.action with Action.Notify _ -> true | _ -> false)
         (Protocol.script_of protocol party)
     in
-    let coordinates =
-      List.exists (fun (_, agent) -> Party.equal agent party) (Sequencing.coordinated_bundles spec)
-    in
+    let coordinates = Spec_index.coordinates index party in
     let mediated = ref [] in
     Array.iteri
       (fun i d ->
@@ -380,25 +350,21 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
       (Spec.parties spec)
   in
   let commit_checks party =
-    List.filter_map
-      (fun (cref, d) ->
+    List.map
+      (fun ((cref : Spec.commitment_ref), d) ->
         let side = cref.Spec.side in
-        if not (Party.equal (Spec.commitment_principal d side) party) then None
-        else begin
-          let send = send_transfer spec d side in
-          let expects = Spec.commitment_expects d side in
-          let counterparty = Spec.commitment_principal d (Spec.other_side side) in
-          let recv src = Action.Do Action.{ source = src; target = party; asset = expects } in
-          Some
-            {
-              cc_send = act_id (Action.Do send);
-              cc_recv =
-                Array.of_list
-                  (List.map recv [ Spec.effective_agent spec d; d.Spec.via; counterparty ]
-                  |> List.map act_id);
-            }
-        end)
-      (Spec.commitments spec)
+        let send = send_transfer spec d side in
+        let expects = Spec.commitment_expects d side in
+        let counterparty = Spec.commitment_principal d (Spec.other_side side) in
+        let recv src = Action.Do Action.{ source = src; target = party; asset = expects } in
+        {
+          cc_send = act_id (Action.Do send);
+          cc_recv =
+            Array.of_list
+              (List.map recv [ Spec.effective_agent spec d; d.Spec.via; counterparty ]
+              |> List.map act_id);
+        })
+      (Spec_index.own_commitments index party)
     |> Array.of_list
   in
   let judged =
@@ -444,7 +410,7 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
       match Spec.commitment_sends d cref.Spec.side with
       | Asset.Document name -> ignore (doc_id name)
       | Asset.Money _ -> ())
-    (Spec.commitments spec);
+    (Spec_index.commitments index);
   let docs = Array.of_list (List.rev !doc_rev) in
   let n_docs = Array.length docs in
   (* -- name table (engine holdings and exposure ledgers key by name) -- *)
@@ -486,23 +452,8 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
   let src_principal = Array.make n_actions false in
   let tgt_trusted = Array.make n_actions false in
   (* Exposure's custody-holder predicate, precomputed for both values of
-     [src_had_custody] (see Trust_sim.Exposure.custody_holder_for). *)
-  let custody_holder ~src ~src_had_custody holder asset =
-    Party.is_trusted holder
-    || (Party.is_principal holder
-       && List.exists
-            (fun (cref, d) ->
-              Party.equal (Spec.effective_agent spec d) holder
-              && Asset.equal (Spec.commitment_sends d cref.Spec.side) asset
-              && (not (Party.equal (Spec.commitment_principal d cref.Spec.side) holder))
-              && (not
-                    (Party.equal
-                       (Spec.commitment_principal d (Spec.other_side cref.Spec.side))
-                       holder))
-              && (Party.equal (Spec.commitment_principal d cref.Spec.side) src
-                 || src_had_custody))
-            (Spec.commitments spec))
-  in
+     [src_had_custody] (see Spec_index.custody_holder). *)
+  let custody_holder = Spec_index.custody_holder index in
   Array.iteri
     (fun i action ->
       match action with
@@ -555,26 +506,24 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
       endow_balance.(name) <- 0;
       Array.fill endow_docs.(name) 0 n_docs 0;
       if not (Party.is_trusted party) then begin
+        let own = Spec_index.own_commitments index party in
         List.iter
-          (fun (cref, d) ->
-            if Party.equal (Spec.commitment_principal d cref.Spec.side) party then begin
-              match Spec.commitment_sends d cref.Spec.side with
-              | Asset.Money m -> endow_balance.(name) <- endow_balance.(name) + m
-              | Asset.Document doc ->
-                let asset = Asset.Document doc in
-                let acquires_elsewhere =
-                  List.exists
-                    (fun (cref', d') ->
-                      Party.equal (Spec.commitment_principal d' cref'.Spec.side) party
-                      && Asset.equal (Spec.commitment_expects d' cref'.Spec.side) asset)
-                    (Spec.commitments spec)
-                in
-                if not acquires_elsewhere then begin
-                  let di = doc_id doc in
-                  endow_docs.(name).(di) <- endow_docs.(name).(di) + 1
-                end
-            end)
-          (Spec.commitments spec);
+          (fun ((cref : Spec.commitment_ref), d) ->
+            match Spec.commitment_sends d cref.Spec.side with
+            | Asset.Money m -> endow_balance.(name) <- endow_balance.(name) + m
+            | Asset.Document doc ->
+              let asset = Asset.Document doc in
+              let acquires_elsewhere =
+                List.exists
+                  (fun ((cref' : Spec.commitment_ref), d') ->
+                    Asset.equal (Spec.commitment_expects d' cref'.Spec.side) asset)
+                  own
+              in
+              if not acquires_elsewhere then begin
+                let di = doc_id doc in
+                endow_docs.(name).(di) <- endow_docs.(name).(di) + 1
+              end)
+          own;
         List.iter
           (fun (o : Indemnity.offer) ->
             if Party.equal o.Indemnity.offered_by party then
@@ -588,7 +537,9 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
     (fun i d ->
       match d.Spec.deadline with Some dl -> expiries := (i, dl) :: !expiries | None -> ())
     deals;
-  let bound = Array.of_list (List.map (single_transfer_bound ~price spec) principals) in
+  let bound =
+    Array.of_list (List.map (Spec_index.single_transfer_bound ~price index) principals)
+  in
   {
     spec;
     lockstep;

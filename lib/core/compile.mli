@@ -100,20 +100,24 @@ type t = {
 (** {2 §5 valuation} *)
 
 val price_for : Spec.t -> Party.t -> Asset.t -> Asset.money
-(** What an asset is worth to a party: money at face value; a document
-    at what the party pays for it in the spec (its cost basis) or,
-    failing that, what it is paid for it; [0] when the party never
-    trades it. The one valuation the exposure ledgers (the plan's
-    prices and bounds, [Trust_sim.Exposure]) and the static analysis
-    ([Trust_analyze.Absint]) share. *)
+(** {!Spec_index.price} over a fresh index of the spec: money at face
+    value; a document at what the party pays for it in the spec (its
+    cost basis) or, failing that, what it is paid for it; [0] when the
+    party never trades it. The one valuation the exposure ledgers (the
+    plan's prices and bounds, [Trust_sim.Exposure]) and the static
+    analysis ([Trust_analyze.Absint]) share. Partially apply it to the
+    spec once: that builds the price table, and every lookup through
+    the returned function is then a table read. *)
 
 val single_transfer_bound :
   ?price:(Party.t -> Asset.t -> Asset.money) -> Spec.t -> Party.t -> Asset.money
-(** The §5 bound: the largest single transfer the party's commitments
-    ever put in flight — [max] over its deal sides of the value it
-    sends, priced by [price] (default {!price_for} [spec]). *)
+(** {!Spec_index.single_transfer_bound} over a fresh index: the largest
+    single transfer the party's commitments ever put in flight — [max]
+    over its deal sides of the value it sends, priced by [price]
+    (default {!price_for} [spec]). *)
 
 val compile :
+  ?index:Spec_index.t ->
   lockstep:bool ->
   shared:bool ->
   ?plan:Indemnity.plan ->
@@ -122,8 +126,11 @@ val compile :
   Protocol.t ->
   t
 (** Flatten a synthesized protocol. [price] is the deal-implied
-    valuation used by exposure accounting (pass {!price_for} [spec]); [lockstep] and [shared] must
-    match the harness options the protocol will run under.
+    valuation used by exposure accounting (pass {!price_for} [spec], or
+    {!Spec_index.price} of [index]); [lockstep] and [shared] must
+    match the harness options the protocol will run under. [index]
+    (default: built here) is the spec's {!Spec_index} when the caller's
+    synthesis already has one.
     @raise Invalid_argument if the spec carries acceptability
     overrides — those specs are not cacheable and never compiled. *)
 

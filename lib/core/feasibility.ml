@@ -36,9 +36,8 @@ let splittable_owners analysis =
     (fun owner -> Indemnity.splittable analysis.spec ~owner)
     (blocking_conjunctions analysis)
 
-let rescue_with_indemnities ?shared spec =
-  let rec loop spec plans fuel =
-    let analysis = analyze ?shared spec in
+let rescue_with_indemnities ?shared ?analysis spec =
+  let rec loop analysis spec plans fuel =
     match analysis.outcome.Reduce.verdict with
     | Reduce.Feasible -> Some { plans = List.rev plans; analysis }
     | Reduce.Stuck _ when fuel = 0 -> None
@@ -61,9 +60,11 @@ let rescue_with_indemnities ?shared spec =
         | None -> None
         | Some (owner, _) ->
           let plan = plan_of owner in
-          loop (Indemnity.apply plan spec) (plan :: plans) (fuel - 1)))
+          let split = Indemnity.apply plan spec in
+          loop (analyze ?shared split) split (plan :: plans) (fuel - 1)))
   in
-  loop spec [] (List.length (Spec.parties spec) + 1)
+  let first = match analysis with Some a -> a | None -> analyze ?shared spec in
+  loop first spec [] (List.length (Spec.parties spec) + 1)
 
 let total_indemnity rescue =
   List.fold_left (fun acc p -> acc + p.Indemnity.total) 0 rescue.plans

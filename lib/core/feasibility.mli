@@ -28,12 +28,13 @@ type rescue = {
   analysis : analysis;  (** of the split spec; feasible on success *)
 }
 
-val rescue_with_indemnities : ?shared:bool -> Spec.t -> rescue option
+val rescue_with_indemnities : ?shared:bool -> ?analysis:analysis -> Spec.t -> rescue option
 (** Repeatedly: analyze; if stuck, greedily indemnify the blocking
     {e principal} conjunction whose split is cheapest, and retry.
     [None] when no further principal conjunction can be split and the
     spec is still infeasible. Feasible specs return a rescue with no
-    plans. *)
+    plans. [analysis], when given, must be [analyze ?shared spec]; the
+    loop starts from it instead of analysing the bare spec again. *)
 
 val total_indemnity : rescue -> Asset.money
 

@@ -11,26 +11,24 @@ let observes party action =
 
 let synthesize (sequence : Execution.sequence) =
   let actions = Execution.actions sequence in
-  let step_for ~prefix action =
+  let step_for ~earlier action =
     let performer = Action.performer action in
     (* Latest earlier action the performer observes (excluding its own
-       earlier actions, which local order already covers). *)
+       earlier actions, which local order already covers); [earlier]
+       holds the prefix newest first. *)
     let trigger =
-      List.fold_left
-        (fun acc earlier ->
-          if
-            Party.equal (Action.beneficiary earlier) performer
-            && not (Party.equal (Action.performer earlier) performer)
-          then Some earlier
-          else acc)
-        None prefix
+      List.find_opt
+        (fun e ->
+          Party.equal (Action.beneficiary e) performer
+          && not (Party.equal (Action.performer e) performer))
+        earlier
     in
     let condition = match trigger with Some a -> Observed a | None -> Now in
     (performer, { condition; action })
   in
-  let rec walk prefix = function
+  let rec walk earlier = function
     | [] -> []
-    | action :: rest -> step_for ~prefix action :: walk (prefix @ [ action ]) rest
+    | action :: rest -> step_for ~earlier action :: walk (action :: earlier) rest
   in
   let assignments = walk [] actions in
   let parties = Spec.parties sequence.Execution.spec in
@@ -79,14 +77,14 @@ let synthesize_lockstep ?(prologue = []) (sequence : Execution.sequence) =
     List.map (fun s -> (s, false)) prologue_steps
     @ List.map (fun s -> (s, branch_local spec s)) sequence.Execution.steps
   in
-  let actions = List.map (fun (s, _) -> s.Execution.action) steps_in_order in
+  let actions = Array.of_list (List.map (fun (s, _) -> s.Execution.action) steps_in_order) in
   let local_trigger i action =
     (* the latest earlier delivery the performer observes locally *)
     let performer = Action.performer action in
     let rec latest j best =
       if j >= i then best
       else
-        let earlier = List.nth actions j in
+        let earlier = actions.(j) in
         let best =
           if
             Party.equal (Action.beneficiary earlier) performer
@@ -105,7 +103,7 @@ let synthesize_lockstep ?(prologue = []) (sequence : Execution.sequence) =
         let condition =
           if i = 0 then Now
           else if local then local_trigger i action
-          else Observed (List.nth actions (i - 1))
+          else Observed actions.(i - 1)
         in
         (Action.performer action, { condition; action }))
       steps_in_order

@@ -87,16 +87,15 @@ let build ?(granular = false) spec =
     match j.scope with None -> true | Some deal -> String.equal deal c.cref.Spec.deal
   in
   (* index conjunctions by owner so construction is linear in edges *)
-  let by_owner = Hashtbl.create (Array.length conjunctions) in
+  let by_owner : (Party.t, conjunction list) Hashtbl.t =
+    Hashtbl.create (Array.length conjunctions)
+  in
   Array.iter
     (fun j ->
-      let key = Party.to_string j.owner in
-      Hashtbl.replace by_owner key
-        (Option.value ~default:[] (Hashtbl.find_opt by_owner key) @ [ j ]))
+      Hashtbl.replace by_owner j.owner
+        (Option.value ~default:[] (Hashtbl.find_opt by_owner j.owner) @ [ j ]))
     conjunctions;
-  let conjunctions_of party =
-    Option.value ~default:[] (Hashtbl.find_opt by_owner (Party.to_string party))
-  in
+  let conjunctions_of party = Option.value ~default:[] (Hashtbl.find_opt by_owner party) in
   Array.iter
     (fun c ->
       List.iter
@@ -193,41 +192,37 @@ let check_invariants t =
 (* Bundle conjunctions one agent can coordinate atomically: the owner
    holds several own-side pieces, nobody marked any of those deals'
    commitments red (the counterparties run no resale risk), and every
-   piece flows through the same non-persona agent. *)
+   piece flows through the same non-persona agent. One pass groups the
+   unsplit pieces by principal, so the cost is linear in the spec. *)
 let coordinated_bundles spec =
+  let marked : (string * Spec.side, unit) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun (_, (c : Spec.commitment_ref)) -> Hashtbl.replace marked (c.Spec.deal, c.Spec.side) ())
+    spec.Spec.priorities;
+  let red_free ((cref : Spec.commitment_ref), _) =
+    (not (Hashtbl.mem marked (cref.Spec.deal, cref.Spec.side)))
+    && not (Hashtbl.mem marked (cref.Spec.deal, Spec.other_side cref.Spec.side))
+  in
+  (* each principal's unsplit own-side pieces, commitment order *)
+  let pieces : (Party.t, (Spec.commitment_ref * Spec.deal) list) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun ((cref, d) as piece) ->
+      let owner = Spec.commitment_principal d cref.Spec.side in
+      if not (Spec.is_split spec owner cref) then
+        Hashtbl.replace pieces owner
+          (piece :: Option.value ~default:[] (Hashtbl.find_opt pieces owner)))
+    (List.rev (Spec.commitments spec));
   List.filter_map
     (fun owner ->
       if not (Party.is_principal owner) then None
-      else begin
-        let pieces =
-          List.filter_map
-            (fun cref ->
-              match Spec.find_deal spec cref.Spec.deal with
-              | Some d when Party.equal (Spec.commitment_principal d cref.Spec.side) owner ->
-                Some (cref, d)
-              | Some _ | None -> None)
-            (Spec.linked_commitments_of spec owner)
-        in
-        if List.length pieces < 2 then None
-        else begin
-          let red_free (cref, _) =
-            let counterpart = { Spec.deal = cref.Spec.deal; side = Spec.other_side cref.Spec.side } in
-            let marked c =
-              List.exists (fun (o, c') -> ignore o; Spec.equal_ref c' c) spec.Spec.priorities
-            in
-            (not (marked cref)) && not (marked counterpart)
-          in
-          match pieces with
-          | (_, first) :: rest
-            when List.for_all red_free pieces
-                 && Spec.persona_of spec first.Spec.via = None
-                 && List.for_all
-                      (fun (_, d) -> Party.equal d.Spec.via first.Spec.via)
-                      rest ->
-            Some (owner, first.Spec.via)
-          | _ -> None
-        end
-      end)
+      else
+        match Hashtbl.find_opt pieces owner with
+        | Some (((_, first) :: (_ :: _ as rest)) as all)
+          when List.for_all red_free all
+               && Spec.persona_of spec first.Spec.via = None
+               && List.for_all (fun (_, d) -> Party.equal d.Spec.via first.Spec.via) rest ->
+          Some (owner, first.Spec.via)
+        | Some _ | None -> None)
     (Spec.internal_parties spec)
 
 let pp_colour ppf colour =

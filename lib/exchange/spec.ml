@@ -200,11 +200,12 @@ let commitments_of t party =
   List.filter_map incident (commitments t)
 
 let internal_parties t =
-  (* one pass: count interaction edges per party *)
-  let counts = Hashtbl.create 64 in
+  (* one pass: count interaction edges per party. Parties are keyed
+     structurally — name and role — exactly as [Party.equal] tells
+     them apart. *)
+  let counts : (Party.t, int) Hashtbl.t = Hashtbl.create 64 in
   let bump party =
-    let key = Party.to_string party in
-    Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
+    Hashtbl.replace counts party (1 + Option.value ~default:0 (Hashtbl.find_opt counts party))
   in
   List.iter
     (fun d ->
@@ -214,7 +215,7 @@ let internal_parties t =
       bump d.via)
     t.deals;
   List.filter
-    (fun p -> Option.value ~default:0 (Hashtbl.find_opt counts (Party.to_string p)) >= 2)
+    (fun p -> Option.value ~default:0 (Hashtbl.find_opt counts p) >= 2)
     (parties t)
 
 let persona_of t trusted = Party.Map.find_opt trusted t.personas

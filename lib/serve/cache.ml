@@ -110,37 +110,53 @@ let merge_plans = function
           total = List.fold_left (fun acc p -> acc + p.Indemnity.total) 0 plans;
         }
 
+(* Cold synthesis in one pass: the bare spec is analysed once; when it
+   is stuck, the rescue loop starts from that analysis and hands back
+   the analysis of the split spec it ends on. That one analysis's
+   sequence feeds the verifier and the protocol synthesis, the static
+   bound and the compiler, which share one spec index for the length
+   of the synthesis. *)
 let fresh policy spec =
-  let plan =
-    if (not policy.rescue) || Feasibility.is_feasible ~shared:policy.shared spec then None
+  let shared = policy.shared in
+  let analysis = Feasibility.analyze ~shared spec in
+  let plan, analysis =
+    if (not policy.rescue) || Trust_core.Reduce.feasible analysis.Feasibility.outcome then
+      (None, analysis)
     else
-      match Feasibility.rescue_with_indemnities ~shared:policy.shared spec with
-      | Some rescue -> merge_plans rescue.Feasibility.plans
-      | None -> None
+      match Feasibility.rescue_with_indemnities ~shared ~analysis spec with
+      | Some rescue -> (merge_plans rescue.Feasibility.plans, rescue.Feasibility.analysis)
+      | None -> (None, analysis)
   in
-  match Harness.assemble ~mode:policy.mode ~shared:policy.shared ?plan spec with
-  | Ok cast ->
+  match Harness.protocol_of_analysis ~mode:policy.mode ?plan analysis with
+  | Error e -> Error e
+  | Ok protocol ->
+    let split_spec = analysis.Feasibility.spec in
+    let index = Trust_core.Spec_index.make split_spec in
     (* The proven bound rides the cache entry: a hit skips re-analysis
-       entirely (the static pass is the expensive half of cold
-       synthesis — see BENCH_analyze.json). *)
-    let exposure = Trust_analyze.Static_exposure.analyze cast.Harness.spec in
+       entirely (see BENCH_analyze.json). The bound is proved over the
+       paper's rules, without the shared-agent rule, so under [shared]
+       the split spec is analysed once more without it. *)
+    let exposure =
+      match analysis.Feasibility.sequence with
+      | Some sequence when not shared ->
+        Trust_analyze.Static_exposure.of_sequence ~index sequence
+      | Some _ | None -> Trust_analyze.Static_exposure.analyze split_spec
+    in
     (* Compile once per synthesis: the flat instruction plan the
        allocation-free runtime executes on cache hits. Specs with
        acceptability overrides are never cacheable and stay on the
        interpreted path. *)
     let compiled =
-      if Party.Map.is_empty cast.Harness.spec.Spec.overrides then
+      if Party.Map.is_empty split_spec.Spec.overrides then
         Some
-          (Trust_core.Compile.compile
+          (Trust_core.Compile.compile ~index
              ~lockstep:(policy.mode = Harness.Lockstep)
-             ~shared:policy.shared ?plan
-             ~price:(Trust_core.Compile.price_for cast.Harness.spec)
-             cast.Harness.spec cast.Harness.protocol)
+             ~shared ?plan
+             ~price:(Trust_core.Spec_index.price index)
+             split_spec protocol)
       else None
     in
-    Ok
-      { split_spec = cast.Harness.spec; plan; protocol = cast.Harness.protocol; exposure; compiled }
-  | Error e -> Error e
+    Ok { split_spec; plan; protocol; exposure; compiled }
 
 let equal_offer (a : Indemnity.offer) (b : Indemnity.offer) =
   Spec.equal_ref a.Indemnity.piece b.Indemnity.piece

@@ -158,7 +158,15 @@ val synthesize : t -> Spec.t -> (entry, string) result * [ `Hit | `Miss | `Bypas
     synthesis failure (infeasible and not rescued). *)
 
 val fresh : policy -> Spec.t -> (entry, string) result
-(** Uncached synthesis — the reference the invariant compares against. *)
+(** Uncached synthesis — the reference the invariant compares against.
+    One pass: the spec is analysed once; a stuck spec is rescued
+    starting from that analysis; the final (split-spec) analysis's
+    sequence feeds {!Trust_sim.Harness.protocol_of_analysis} (verifier,
+    then scripts), the static bound and {!Trust_core.Compile.compile},
+    which share one {!Trust_core.Spec_index} for the length of the
+    call. No behaviours are built and no index is kept. Equal to
+    [Harness.assemble] followed by [Static_exposure.analyze] and
+    [Compile.compile] on the split spec. *)
 
 val entry_equal : entry -> entry -> bool
 (** Structural: canonical split-spec encodings, plan offers, and

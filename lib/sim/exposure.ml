@@ -14,6 +14,7 @@
 
 open Exchange
 module Indemnity = Trust_core.Indemnity
+module Spec_index = Trust_core.Spec_index
 module Obs = Trust_obs.Obs
 
 type sample = {
@@ -121,7 +122,8 @@ type pstate = {
 let at_risk_of p = max 0 (p.p_released - p.p_received)
 
 let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
-  let price = Trust_core.Compile.price_for spec in
+  let index = Spec_index.make spec in
+  let price = Spec_index.price index in
   let principals = Spec.principals spec in
   let pstates =
     List.map
@@ -129,7 +131,7 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
         ( Party.name party,
           {
             p_party = party;
-            p_bound = single_transfer_bound spec party;
+            p_bound = Spec_index.single_transfer_bound index party;
             p_honest = not (List.exists (Party.equal party) defectors);
             p_released = 0;
             p_received = 0;
@@ -193,26 +195,14 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
     go [] !pending_deposits
   in
   (* deal attribution of a party's own transfer *)
-  let deal_of_send party asset =
+  let deal_of flow party asset =
     List.find_map
-      (fun (cref, d) ->
-        if
-          Party.equal (Spec.commitment_principal d cref.Spec.side) party
-          && Asset.equal (Spec.commitment_sends d cref.Spec.side) asset
-        then Some d.Spec.id
-        else None)
-      (Spec.commitments spec)
+      (fun ((cref : Spec.commitment_ref), d) ->
+        if Asset.equal (flow d cref.Spec.side) asset then Some d.Spec.id else None)
+      (Spec_index.own_commitments index party)
   in
-  let deal_of_receive party asset =
-    List.find_map
-      (fun (cref, d) ->
-        if
-          Party.equal (Spec.commitment_principal d cref.Spec.side) party
-          && Asset.equal (Spec.commitment_expects d cref.Spec.side) asset
-        then Some d.Spec.id
-        else None)
-      (Spec.commitments spec)
-  in
+  let deal_of_send = deal_of Spec.commitment_sends in
+  let deal_of_receive = deal_of Spec.commitment_expects in
   let dstate p deal =
     match Hashtbl.find_opt p.p_deals deal with
     | Some d -> d
@@ -269,28 +259,10 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
     | Exposed -> ignore deal
   in
   (* Is [holder] the custody holder this transfer is addressed to?
-     Genuine trusted parties always hold in trust. A persona holds in
-     trust only for a deal whose trusted role it performs, on the side
-     whose principal is someone else (and is the sender, or the sender
-     is itself forwarding custody), and only when it is not itself the
-     forward target — its own counter-side receipt is final. *)
-  let custody_holder_for ~src ~src_had_custody holder asset =
-    Party.is_trusted holder
-    || (Party.is_principal holder
-       && List.exists
-            (fun (cref, d) ->
-              Party.equal (Spec.effective_agent spec d) holder
-              && Asset.equal (Spec.commitment_sends d cref.Spec.side) asset
-              && (not
-                    (Party.equal (Spec.commitment_principal d cref.Spec.side) holder))
-              && (not
-                    (Party.equal
-                       (Spec.commitment_principal d (Spec.other_side cref.Spec.side))
-                       holder))
-              && (Party.equal (Spec.commitment_principal d cref.Spec.side) src
-                 || src_had_custody))
-            (Spec.commitments spec))
-  in
+     (Spec_index.custody_holder: genuine trusted parties always hold in
+     trust, a persona only for the deal sides it performs the trusted
+     role for.) *)
+  let custody_holder_for = Spec_index.custody_holder index in
   let has_custody holder asset =
     match Hashtbl.find_opt agents (Party.name holder) with
     | None -> false

@@ -45,6 +45,7 @@ let distributed_deposit_steps plan party =
    is the spec the protocol was synthesized from, i.e. after the plan's
    indemnity splits were applied. *)
 let behaviors_for ?(shared = false) ?plan ?(defectors = []) ~mode split_spec protocol =
+  let bundles = Trust_core.Sequencing.coordinated_bundles split_spec in
   let offers = match plan with Some p -> p.Indemnity.offers | None -> [] in
   let defection_of party =
     List.find_map
@@ -82,11 +83,7 @@ let behaviors_for ?(shared = false) ?plan ?(defectors = []) ~mode split_spec pro
          the paper's monolithic reading, i.e. without [shared] — for
          any multi-deal agent, whose single conjunction makes its
          deals all-or-nothing by definition. *)
-      let coordinates =
-        List.exists
-          (fun (_, agent) -> Party.equal agent party)
-          (Trust_core.Sequencing.coordinated_bundles split_spec)
-      in
+      let coordinates = List.exists (fun (_, agent) -> Party.equal agent party) bundles in
       let mediates =
         List.length (List.filter (fun d -> Party.equal d.Spec.via party) split_spec.Spec.deals)
       in
@@ -96,33 +93,36 @@ let behaviors_for ?(shared = false) ?plan ?(defectors = []) ~mode split_spec pro
   List.map principal_behavior (Spec.principals split_spec)
   @ List.filter_map trusted_behavior (Spec.trusted_agents split_spec)
 
+let protocol_of_analysis ?(mode = Lockstep) ?plan (analysis : Feasibility.analysis) =
+  match analysis.Feasibility.sequence with
+  | None -> Error "infeasible: no protocol can be synthesized"
+  | Some sequence -> (
+    (* Independent safety pass (§5 protection invariant) over every
+       sequence we are about to hand to behaviours: the synthesizer is
+       never its own witness. *)
+    match Trust_analyze.Verifier.verify sequence with
+    | Error exposures ->
+      Error
+        (Printf.sprintf "unsafe execution sequence:\n%s"
+           (Trust_analyze.Verifier.explain exposures))
+    | Ok () ->
+      Ok
+        (match mode with
+        | Lockstep -> Protocol.synthesize_lockstep ~prologue:(deposit_actions plan) sequence
+        | Distributed -> Protocol.synthesize sequence))
+
 let assemble ?(obs = Obs.null) ?parent ?(mode = Lockstep) ?(shared = false) ?plan
     ?(defectors = []) spec =
   Obs.with_span obs ?parent ~phase:"route" "route.assemble" (fun h ->
   let split_spec =
     match plan with Some plan -> Indemnity.apply plan spec | None -> spec
   in
-  let analysis = Feasibility.analyze ~shared split_spec in
   let outcome =
-    match analysis.Feasibility.sequence with
-    | None -> Error "infeasible: no protocol can be synthesized"
-    | Some sequence -> (
-      (* Independent safety pass (§5 protection invariant) over every
-         sequence we are about to hand to behaviours: the synthesizer is
-         never its own witness. *)
-      match Trust_analyze.Verifier.verify sequence with
-      | Error exposures ->
-        Error
-          (Printf.sprintf "unsafe execution sequence:\n%s"
-             (Trust_analyze.Verifier.explain exposures))
-      | Ok () ->
-      let protocol =
-        match mode with
-        | Lockstep -> Protocol.synthesize_lockstep ~prologue:(deposit_actions plan) sequence
-        | Distributed -> Protocol.synthesize sequence
-      in
-      let behaviors = behaviors_for ~shared ?plan ~defectors ~mode split_spec protocol in
-      Ok { spec = split_spec; plan; mode; protocol; behaviors })
+    Result.map
+      (fun protocol ->
+        let behaviors = behaviors_for ~shared ?plan ~defectors ~mode split_spec protocol in
+        { spec = split_spec; plan; mode; protocol; behaviors })
+      (protocol_of_analysis ~mode ?plan (Feasibility.analyze ~shared split_spec))
   in
   if Obs.enabled obs then begin
     Obs.attr obs h "mode"

@@ -49,6 +49,20 @@ val behaviors_for :
     stateful machines — callers that reuse a protocol across runs (the
     serve-layer protocol cache) must call this once per run. *)
 
+val protocol_of_analysis :
+  ?mode:mode ->
+  ?plan:Trust_core.Indemnity.plan ->
+  Trust_core.Feasibility.analysis ->
+  (Trust_core.Protocol.t, string) result
+(** The protocol half of {!assemble}, over an analysis already in hand
+    (of the {e split} spec): run the {!Trust_analyze.Verifier} safety
+    pass on the analysis's sequence, then synthesize the scripts —
+    lockstep with the plan's escrow deposits chained in front, or
+    distributed. [Error] when the analysis found no sequence
+    (["infeasible: …"]) or the verifier found an exposure. Builds no
+    behaviours: the protocol cache stores protocols and rebuilds
+    behaviours per run. *)
+
 val assemble :
   ?obs:Trust_obs.Obs.t ->
   ?parent:Trust_obs.Obs.handle ->
@@ -58,8 +72,9 @@ val assemble :
   ?defectors:(Party.t * defection) list ->
   Spec.t ->
   (cast, string) result
-(** Synthesize the protocol (applying the plan's splits first, with the
-    escrow deposits chained in front), then build behaviours: scripted
+(** Analyse the (split) spec and run {!protocol_of_analysis} on it
+    (applying the plan's splits first, with the escrow deposits chained
+    in front), then build behaviours with {!behaviors_for}: scripted
     principals — replaced by the requested defection for parties listed
     in [defectors] — and escrow automata for every non-persona trusted
     role (atomic when the agent mediates several deals). [mode] defaults

@@ -7,6 +7,13 @@ module Shape = Trust_serve.Shape
 module Cache = Trust_serve.Cache
 module Gen = Workload.Gen
 module Prng = Workload.Prng
+module Universe = Workload.Universe
+module Feasibility = Trust_core.Feasibility
+module Indemnity = Trust_core.Indemnity
+module Compile = Trust_core.Compile
+module Harness = Trust_sim.Harness
+module SE = Trust_analyze.Static_exposure
+module Absint = Trust_analyze.Absint
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -240,6 +247,150 @@ let prop_cached_equals_fresh =
           | _, (`Miss | `Bypass) -> false)
         specs)
 
+(* -- the one-pass cold path against the reference composition -- *)
+
+(* Cold synthesis as separate passes: a feasibility check, the rescue
+   loop from scratch, [Harness.assemble] (which analyses the split spec
+   again and builds behaviours), then [Static_exposure.analyze] (a
+   third analysis) and [Compile.compile] priced by [Compile.price_for]. *)
+let reference policy spec =
+  let shared = policy.Cache.shared in
+  let plan =
+    if (not policy.Cache.rescue) || Feasibility.is_feasible ~shared spec then None
+    else
+      match Feasibility.rescue_with_indemnities ~shared spec with
+      | None | Some { Feasibility.plans = []; _ } -> None
+      | Some { Feasibility.plans = [ plan ]; _ } -> Some plan
+      | Some { Feasibility.plans; _ } ->
+        Some
+          {
+            Indemnity.offers = List.concat_map (fun p -> p.Indemnity.offers) plans;
+            total = List.fold_left (fun acc p -> acc + p.Indemnity.total) 0 plans;
+          }
+  in
+  match Harness.assemble ~mode:policy.Cache.mode ~shared ?plan spec with
+  | Error e -> Error e
+  | Ok cast ->
+    let split = cast.Harness.spec and protocol = cast.Harness.protocol in
+    let compiled =
+      if Party.Map.is_empty split.Spec.overrides then
+        Some
+          (Compile.compile
+             ~lockstep:(policy.Cache.mode = Harness.Lockstep)
+             ~shared ?plan ~price:(Compile.price_for split) split protocol)
+      else None
+    in
+    Ok { Cache.split_spec = split; plan; protocol; exposure = SE.analyze split; compiled }
+
+let interval_key (i : Absint.interval) =
+  let w = i.Absint.i_witness in
+  ( Party.to_string i.Absint.i_party,
+    (i.Absint.i_bound, i.Absint.i_lo, i.Absint.i_hi, w.Absint.w_at_risk),
+    Option.map Party.to_string w.Absint.w_defector,
+    List.map (fun s -> (s.Absint.a_index, Absint.label s)) w.Absint.w_kept,
+    w.Absint.w_stalled )
+
+let exposure_equal (a : SE.t) (b : SE.t) =
+  let diagnostics x =
+    List.map (Format.asprintf "%a" Trust_analyze.Diagnostic.pp) (SE.diagnostics x)
+  in
+  a.SE.verdict = b.SE.verdict
+  && a.SE.steps = b.SE.steps
+  && List.map interval_key a.SE.intervals = List.map interval_key b.SE.intervals
+  && diagnostics a = diagnostics b
+
+(* Every plan table, compared structurally ([compare], which short-cuts
+   the shared spec physically). *)
+let compiled_equal a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (a : Compile.t), Some (b : Compile.t) ->
+    compare { a with Compile.spec = b.Compile.spec } b = 0
+  | None, Some _ | Some _, None -> false
+
+let universe_specs config seed n =
+  let u = Universe.create config in
+  let rng = Prng.create seed in
+  List.init n (fun _ -> Universe.sample u rng)
+
+let check_cold_path ~ctx policy specs =
+  let rescued = ref 0 and errors = ref 0 in
+  List.iteri
+    (fun i spec ->
+      match (Cache.fresh policy spec, reference policy spec) with
+      | Ok e, Ok r ->
+        if e.Cache.plan <> None then incr rescued;
+        if not (Cache.entry_equal e r) then Alcotest.failf "%s spec %d: entries differ" ctx i;
+        if not (exposure_equal e.Cache.exposure r.Cache.exposure) then
+          Alcotest.failf "%s spec %d: static exposure differs" ctx i;
+        if not (compiled_equal e.Cache.compiled r.Cache.compiled) then
+          Alcotest.failf "%s spec %d: compiled plans differ" ctx i
+      | Error a, Error b ->
+        incr errors;
+        check_string (Printf.sprintf "%s spec %d: error" ctx i) b a
+      | Ok _, Error b ->
+        Alcotest.failf "%s spec %d: reference failed (%s), one pass did not" ctx i b
+      | Error a, Ok _ ->
+        Alcotest.failf "%s spec %d: one pass failed (%s), reference did not" ctx i a)
+    specs;
+  (!rescued, !errors)
+
+let test_cold_path_equals_reference () =
+  let corpus = Gen.random_transactions (Prng.create 909L) Gen.default_mix 200 in
+  let daemon_traffic =
+    universe_specs Universe.default_config 7L 500
+    @ universe_specs Universe.defect_heavy 11L 500
+  in
+  let rescued, _ = check_cold_path ~ctx:"default" Cache.default_policy (corpus @ daemon_traffic) in
+  check "rescued specs are covered" true (rescued > 0);
+  let _, infeasible =
+    check_cold_path ~ctx:"no rescue" { Cache.default_policy with Cache.rescue = false } corpus
+  in
+  check "infeasible verdicts are covered" true (infeasible > 0);
+  (* bundles through one agent are feasible only under the shared-agent
+     rule, while the static bound keeps the paper's rules: vacuous *)
+  let bundle docs =
+    let c = Party.consumer "c" and t = Party.trusted "t" in
+    Spec.make_exn
+      (List.init docs (fun i ->
+           Spec.sale ~id:(Printf.sprintf "d%d" i) ~buyer:c
+             ~seller:(Party.producer (Printf.sprintf "p%d" i))
+             ~via:t ~price:(Asset.dollars (10 * (i + 1))) ~good:(Printf.sprintf "doc%d" i)))
+  in
+  let bundles = [ bundle 2; bundle 3 ] in
+  ignore
+    (check_cold_path ~ctx:"shared, distributed"
+       { Cache.default_policy with Cache.shared = true; mode = Harness.Distributed }
+       (bundles @ corpus))
+
+(* Allocation regression for cold synthesis: one [Cache.fresh] on the
+   largest fixed shapes must stay within a minor-heap budget. Analysing
+   the spec three times and the nested whole-spec scans (a price or
+   custody lookup rescanning every commitment, a defector's reach
+   recomputed per principal) cost chain8 1.21M and fan5 1.33M words
+   per synthesis; the budgets sit at 1.4x the one-pass figures, so
+   reintroducing any of them fails this test. *)
+let cold_budgets =
+  [
+    ("chain8", Gen.chain ~brokers:8, 60_000.);
+    ("fan5", Gen.fan ~prices:(List.init 5 (fun i -> Asset.dollars (i + 1))), 80_000.);
+  ]
+
+let test_cold_allocation_budget () =
+  List.iter
+    (fun (name, spec, budget) ->
+      ignore (Cache.fresh Cache.default_policy spec);
+      let rounds = 5 in
+      let before = Gc.minor_words () in
+      for _ = 1 to rounds do
+        ignore (Sys.opaque_identity (Cache.fresh Cache.default_policy spec))
+      done;
+      let per_synthesis = (Gc.minor_words () -. before) /. float_of_int rounds in
+      if per_synthesis > budget then
+        Alcotest.failf "cold synthesis of %s allocated %.0f minor words (budget %.0f)" name
+          per_synthesis budget)
+    cold_budgets
+
 let prop_hash_deterministic =
   QCheck2.Test.make ~name:"shape hash is a pure function of the spec" ~count:100 QCheck2.Gen.int
     (fun seed ->
@@ -272,6 +423,12 @@ let () =
           Alcotest.test_case "sharded counters aggregate" `Quick test_sharded_counts_aggregate;
           Alcotest.test_case "concurrent lookups, sequential tallies" `Quick
             test_sharded_concurrent_same_tallies;
+        ] );
+      ( "cold path",
+        [
+          Alcotest.test_case "one pass equals the reference composition" `Quick
+            test_cold_path_equals_reference;
+          Alcotest.test_case "cold synthesis allocation budget" `Quick test_cold_allocation_budget;
         ] );
       ( "properties",
         [
