@@ -46,6 +46,7 @@ module Feasibility = Trust_core.Feasibility
 module Indemnity = Trust_core.Indemnity
 module Cost = Trust_core.Cost
 module Table = Report.Table
+module Json = Trust_obs.Json
 
 let quick = ref false
 
@@ -59,18 +60,48 @@ let uname flag =
     if line = "" then "unknown" else line
   with _ -> "unknown"
 
-let host_json =
-  let memo = ref None in
-  fun () ->
-    match !memo with
-    | Some j -> j
-    | None ->
-      let j =
-        Printf.sprintf {|{"cores":%d,"os":"%s","arch":"%s"}|}
-          (Domain.recommended_domain_count ()) (uname "-s") (uname "-m")
-      in
-      memo := Some j;
-      j
+(* The one bench emitter: every --*-json mode prints a single object,
+   the shared bench/version/host header followed by its own fields. *)
+let emit name fields =
+  let host =
+    [ ("cores", Json.int (Domain.recommended_domain_count ())); ("os", Json.Str (uname "-s"));
+      ("arch", Json.Str (uname "-m")) ]
+  in
+  print_endline
+    (Json.to_string
+       (Json.Obj
+          (("bench", Json.Str name) :: ("version", Json.Str Trustseq_version.Version.v)
+          :: ("host", Json.Obj host) :: fields)))
+
+(* sampling rates print with %g: 0, 0.01, 1 *)
+let rate r = Json.Num (Printf.sprintf "%g" r)
+
+(* A run's decoded ring sink, or the bench stops: [whole] also refuses
+   a ring that wrapped, for checks that need every kept session. *)
+let decoded_ring ~bench ?(whole = false) (outcome : Trust_serve.Service.outcome) =
+  let module Ring = Trust_obs.Ring in
+  let die msg =
+    prerr_endline (bench ^ " bench: " ^ msg);
+    exit 2
+  in
+  match outcome.Trust_serve.Service.ring with
+  | None -> die "expected a ring sink"
+  | Some ring -> (
+    match Ring.decode (Ring.dump ring) with
+    | Error e -> die ("ring decode failed: " ^ e)
+    | Ok (_, stats) when whole && stats.Ring.d_dropped <> 0 -> die "ring wrapped; size it up"
+    | Ok decoded -> decoded)
+
+(* The per-session outcome digest the determinism checks compare:
+   verdict, ticks, events and attempts of every session, in id order. *)
+let outcome_digest sessions =
+  let module Session = Trust_serve.Session in
+  let line (s : Session.t) =
+    Printf.sprintf "%d:%s:%d:%d:%d" s.Session.id
+      (Session.status_label s.Session.status)
+      s.Session.ticks s.Session.events s.Session.attempts
+  in
+  Printf.sprintf "%016Lx" (Trust_serve.Shape.fnv1a (String.concat "\n" (List.map line sessions)))
 
 let yes_no b = if b then "yes" else "no"
 let feasible_str b = if b then "FEASIBLE" else "infeasible"
@@ -520,30 +551,31 @@ let e11 () =
       "the partial exchange expires and unwinds: nobody completes, nobody loses.")
 
 (* E12: exposure profiles — the asset-at-risk side of the cost of
-   mistrust *)
+   mistrust, read off the Sim.Exposure ledger *)
 
 let e12 () =
   Table.section "E12  Exposure profiles (risk over time, para 8 extended)";
-  let module Trace = Trust_sim.Trace in
-  let trace_of ?plan spec =
-    match Trust_sim.Harness.honest_run ?plan spec with
-    | Ok result -> Some (Trace.of_result spec result)
-    | Error _ -> None
+  let module Exposure = Trust_sim.Exposure in
+  (* the value a principal has out of its hands at a tick: at risk, in
+     escrow, or posted as an indemnity deposit *)
+  let peak (l : Exposure.party_ledger) =
+    List.fold_left
+      (fun acc (s : Exposure.sample) ->
+        max acc (s.Exposure.at_risk + s.Exposure.in_escrow + s.Exposure.deposits))
+      0 l.Exposure.timeline
   in
   let row name ?plan spec =
-    match trace_of ?plan spec with
-    | None -> [ name; "infeasible"; "-"; "-" ]
-    | Some trace ->
-      let peaks =
-        List.map
-          (fun party -> Printf.sprintf "%s=%s" (Party.name party) (Table.money (Trace.peak_exposure trace party)))
-          (Spec.principals spec)
-      in
+    match Trust_sim.Harness.honest_run ?plan spec with
+    | Error _ -> [ name; "infeasible"; "-"; "-" ]
+    | Ok result ->
+      let x = Exposure.of_result ?plan spec result in
+      let peaks = List.map (fun l -> (Party.name l.Exposure.party, peak l)) x.Exposure.parties in
       [
         name;
-        string_of_int (Trace.duration trace);
-        Table.money (Trace.total_peak_exposure trace);
-        String.concat " " peaks;
+        string_of_int x.Exposure.duration;
+        Table.money (List.fold_left (fun acc (_, p) -> acc + p) 0 peaks);
+        String.concat " "
+          (List.map (fun (name, p) -> Printf.sprintf "%s=%s" name (Table.money p)) peaks);
       ]
   in
   let fig7 = Workload.Scenarios.fig7 in
@@ -562,7 +594,7 @@ let e12 () =
     (Table.kv
        [
          ( "peak exposure",
-           "the worst uncovered position a party is ever in (outlay - received value)" );
+           "the most a principal ever has out of its hands (at risk + in escrow + deposits)" );
          ("invariant", "honest runs always end fully covered; tests extend this to defection runs");
        ])
 
@@ -688,13 +720,15 @@ let serve_json () =
   let t = Service.tally outcome.Service.sessions in
   let wall = outcome.Service.wall_seconds in
   let per_sec = if wall > 0. then float_of_int sessions /. wall else 0. in
-  Printf.printf
-    "{\"bench\":\"serve_throughput\",\"version\":\"%s\",\"host\":%s,\"sessions\":%d,\"seed\":42,\"wall_seconds\":%.4f,\"sessions_per_sec\":%.1f,\"cache_hit_rate\":%.4f,\"settled\":%d,\"expired\":%d,\"aborted\":%d,\"makespan_ticks\":%d,\"concurrency\":%d}\n"
-    Trustseq_version.Version.v (host_json ()) sessions wall per_sec
-    (Trust_serve.Cache.hit_rate outcome.Service.cache)
-    t.Service.settled t.Service.expired t.Service.aborted
-    outcome.Service.stats.Trust_serve.Scheduler.makespan
-    outcome.Service.config.Service.concurrency
+  let int = Json.int in
+  emit "serve_throughput"
+    [ ("sessions", int sessions); ("seed", int 42); ("wall_seconds", Json.fixed 4 wall);
+      ("sessions_per_sec", Json.fixed 1 per_sec);
+      ("cache_hit_rate", Json.fixed 4 (Trust_serve.Cache.hit_rate outcome.Service.cache));
+      ("settled", int t.Service.settled); ("expired", int t.Service.expired);
+      ("aborted", int t.Service.aborted);
+      ("makespan_ticks", int outcome.Service.stats.Trust_serve.Scheduler.makespan);
+      ("concurrency", int outcome.Service.config.Service.concurrency) ]
 
 (* Multicore scaling: the same workload at 1/2/4/8 worker domains.
    Real speedup is hardware-dependent (the [cores] field records what
@@ -704,18 +738,7 @@ let serve_json () =
 
 let parallel_json () =
   let module Service = Trust_serve.Service in
-  let module Session = Trust_serve.Session in
   let sessions = if !quick then 200 else 1000 in
-  let outcome_digest (outcome : Service.outcome) =
-    let line (s : Session.t) =
-      Printf.sprintf "%d:%s:%d:%d:%d" s.Session.id
-        (Session.status_label s.Session.status)
-        s.Session.ticks s.Session.events s.Session.attempts
-    in
-    Printf.sprintf "%016Lx"
-      (Trust_serve.Shape.fnv1a
-         (String.concat "\n" (List.map line outcome.Service.sessions)))
-  in
   let run jobs =
     let config =
       { Service.default with Service.sessions; seed = 42L; jobs; drop_rate = 0.02 }
@@ -726,7 +749,7 @@ let parallel_json () =
     let outcome = Service.run config in
     let wall = outcome.Service.wall_seconds in
     let per_sec = if wall > 0. then float_of_int sessions /. wall else 0. in
-    (jobs, wall, per_sec, outcome_digest outcome)
+    (jobs, wall, per_sec, outcome_digest outcome.Service.sessions)
   in
   let runs = List.map run [ 1; 2; 4; 8 ] in
   let base_per_sec =
@@ -736,21 +759,17 @@ let parallel_json () =
   let digests_match =
     match digests with [] -> true | d :: rest -> List.for_all (String.equal d) rest
   in
-  let entries =
-    List.map
-      (fun (jobs, wall, per_sec, digest) ->
-        Printf.sprintf
-          "{\"jobs\":%d,\"wall_seconds\":%.4f,\"sessions_per_sec\":%.1f,\"speedup\":%.2f,\"digest\":\"%s\"}"
-          jobs wall per_sec
-          (if base_per_sec > 0. then per_sec /. base_per_sec else 0.)
-          digest)
-      runs
+  let entry (jobs, wall, per_sec, digest) =
+    let speedup = if base_per_sec > 0. then per_sec /. base_per_sec else 0. in
+    Json.Obj
+      [ ("jobs", Json.int jobs); ("wall_seconds", Json.fixed 4 wall);
+        ("sessions_per_sec", Json.fixed 1 per_sec); ("speedup", Json.fixed 2 speedup);
+        ("digest", Json.Str digest) ]
   in
-  Printf.printf
-    "{\"bench\":\"serve_parallel_scaling\",\"host\":%s,\"sessions\":%d,\"seed\":42,\"drop_rate\":0.02,\"cores\":%d,\"digests_match\":%b,\"runs\":[%s]}\n"
-    (host_json ()) sessions
-    (Domain.recommended_domain_count ())
-    digests_match (String.concat "," entries)
+  emit "serve_parallel_scaling"
+    [ ("sessions", Json.int sessions); ("seed", Json.int 42); ("drop_rate", Json.Num "0.02");
+      ("cores", Json.int (Domain.recommended_domain_count ()));
+      ("digests_match", Json.Bool digests_match); ("runs", Json.Arr (List.map entry runs)) ]
 
 (* Production tracing cost: the identical serve workload swept over
    head-sampling rates with the binary ring sink engaged, against a
@@ -797,29 +816,22 @@ let obs_json () =
   let keep_tally ss keep =
     List.length (List.filter (fun s -> s.Ring.s_keep = keep) ss)
   in
-  let point rate =
-    let wall, outcome = measure (config ~ring:ring_bytes rate) in
-    let ring =
-      match outcome.Service.ring with
-      | Some ring -> ring
-      | None ->
-        prerr_endline "obs bench: expected a ring sink";
-        exit 2
+  let point r =
+    let wall, outcome = measure (config ~ring:ring_bytes r) in
+    let ss, stats = decoded_ring ~bench:"obs" outcome in
+    let ratio = if wall_untraced > 0. then wall /. wall_untraced else 0. in
+    let tally keep = Json.int (keep_tally ss keep) in
+    let keeps =
+      [ ("violation", tally Ring.Violation); ("retry", tally Ring.Retry);
+        ("expiry", tally Ring.Expiry); ("lint", tally Ring.Lint) ]
     in
-    match Ring.decode (Ring.dump ring) with
-    | Error e ->
-      prerr_endline ("obs bench: ring decode failed: " ^ e);
-      exit 2
-    | Ok (ss, stats) ->
-      let ratio = if wall_untraced > 0. then wall /. wall_untraced else 0. in
-      Printf.sprintf
-        "{\"rate\":%g,\"wall_seconds\":%.4f,\"overhead_ratio\":%.3f,\"ring_sessions\":%d,\"sampled\":%d,\"kept_tail\":%d,\"keeps\":{\"violation\":%d,\"retry\":%d,\"expiry\":%d,\"lint\":%d},\"records_written\":%d,\"records_dropped\":%d}"
-        rate wall ratio stats.Ring.d_sessions
-        (keep_tally ss Ring.Sampled)
-        (List.length ss - keep_tally ss Ring.Sampled)
-        (keep_tally ss Ring.Violation)
-        (keep_tally ss Ring.Retry) (keep_tally ss Ring.Expiry)
-        (keep_tally ss Ring.Lint) stats.Ring.d_written stats.Ring.d_dropped
+    Json.Obj
+      [ ("rate", rate r); ("wall_seconds", Json.fixed 4 wall);
+        ("overhead_ratio", Json.fixed 3 ratio); ("ring_sessions", Json.int stats.Ring.d_sessions);
+        ("sampled", tally Ring.Sampled);
+        ("kept_tail", Json.int (List.length ss - keep_tally ss Ring.Sampled));
+        ("keeps", Json.Obj keeps); ("records_written", Json.int stats.Ring.d_written);
+        ("records_dropped", Json.int stats.Ring.d_dropped) ]
   in
   let sweep = List.map point [ 0.0; 0.01; 0.1; 1.0 ] in
   (* jobs identity: the decoded ring's canonical export must be
@@ -828,29 +840,17 @@ let obs_json () =
   let identity_rate = 0.1 in
   let decoded_export jobs =
     let outcome = Service.run (config ~jobs ~ring:(8 * ring_bytes) identity_rate) in
-    let ring =
-      match outcome.Service.ring with
-      | Some ring -> ring
-      | None ->
-        prerr_endline "obs bench: expected a ring sink";
-        exit 2
-    in
-    match Ring.decode (Ring.dump ring) with
-    | Error e ->
-      prerr_endline ("obs bench: ring decode failed: " ^ e);
-      exit 2
-    | Ok (ss, stats) ->
-      if stats.Ring.d_dropped <> 0 then begin
-        prerr_endline "obs bench: identity ring wrapped; size it up";
-        exit 2
-      end;
-      Ring.export Obs.Jsonl ss
+    Ring.export Obs.Jsonl (fst (decoded_ring ~bench:"obs" ~whole:true outcome))
   in
   let jobs_identical = String.equal (decoded_export 1) (decoded_export 4) in
-  Printf.printf
-    "{\"bench\":\"obs_overhead\",\"version\":\"%s\",\"host\":%s,\"sessions\":%d,\"seed\":42,\"drop_rate\":0.0002,\"ring_bytes\":%d,\"wall_seconds_untraced\":%.4f,\"sweep\":[%s],\"jobs_identity\":{\"rate\":%g,\"jobs\":[1,4],\"byte_identical\":%b}}\n"
-    Trustseq_version.Version.v (host_json ()) sessions ring_bytes wall_untraced
-    (String.concat "," sweep) identity_rate jobs_identical
+  let identity =
+    [ ("rate", rate identity_rate); ("jobs", Json.Arr [ Json.int 1; Json.int 4 ]);
+      ("byte_identical", Json.Bool jobs_identical) ]
+  in
+  emit "obs_overhead"
+    [ ("sessions", Json.int sessions); ("seed", Json.int 42); ("drop_rate", Json.Num "0.0002");
+      ("ring_bytes", Json.int ring_bytes); ("wall_seconds_untraced", Json.fixed 4 wall_untraced);
+      ("sweep", Json.Arr sweep); ("jobs_identity", Json.Obj identity) ]
 
 (* Daemon soak: a real server (Unix socket, select loop, admission
    control, epoch aging) in a spawned domain, driven by the Zipf load
@@ -917,18 +917,27 @@ let daemon_json () =
     (* the soak runs with the daemon's production-default tracing (1 MiB
        ring, 1% head sampling, tail keeps always) — the latency numbers
        above price that in *)
-    let cval name = Metrics.value (Metrics.counter metrics name) in
-    Printf.printf
-      "{\"bench\":\"daemon_soak\",\"version\":\"%s\",\"host\":%s,\"requests\":%d,\"principals\":%d,\"seed\":7,\"wall_seconds\":%.3f,\"throughput_rps\":%.1f,\"latency_ms\":{\"p50\":%.3f,\"p90\":%.3f,\"p99\":%.3f,\"max\":%.3f},\"settled\":%d,\"expired\":%d,\"aborted\":%d,\"busy\":%d,\"dropped\":%d,\"cache_hits\":%d,\"rss_kb\":{\"start\":%d,\"end\":%d,\"peak\":%d},\"trace\":{\"ring_bytes\":%d,\"sample_rate\":%g,\"sampled\":%d,\"kept_tail\":%d,\"ring_dropped\":%d},\"server\":%s}\n"
-      Trustseq_version.Version.v (host_json ()) requests principals r.Loadgen.wall
-      r.Loadgen.throughput r.Loadgen.p50_ms r.Loadgen.p90_ms r.Loadgen.p99_ms
-      r.Loadgen.max_ms r.Loadgen.settled r.Loadgen.expired r.Loadgen.aborted
-      r.Loadgen.busy r.Loadgen.dropped r.Loadgen.cache_hits rss_start rss_end
-      rss_peak cfg.Server.trace_ring cfg.Server.trace_sample
-      (cval "obs_sessions_sampled_total")
-      (cval "obs_sessions_kept_tail_total")
-      (cval "obs_ring_records_dropped_total")
-      (Server.stats_json stats)
+    let int = Json.int and ms = Json.fixed 3 in
+    let cval name = int (Metrics.value (Metrics.counter metrics name)) in
+    let latency =
+      [ ("p50", ms r.Loadgen.p50_ms); ("p90", ms r.Loadgen.p90_ms); ("p99", ms r.Loadgen.p99_ms);
+        ("max", ms r.Loadgen.max_ms) ]
+    in
+    let trace =
+      [ ("ring_bytes", int cfg.Server.trace_ring); ("sample_rate", rate cfg.Server.trace_sample);
+        ("sampled", cval "obs_sessions_sampled_total");
+        ("kept_tail", cval "obs_sessions_kept_tail_total");
+        ("ring_dropped", cval "obs_ring_records_dropped_total") ]
+    in
+    let rss = [ ("start", int rss_start); ("end", int rss_end); ("peak", int rss_peak) ] in
+    emit "daemon_soak"
+      [ ("requests", int requests); ("principals", int principals); ("seed", int 7);
+        ("wall_seconds", Json.fixed 3 r.Loadgen.wall);
+        ("throughput_rps", Json.fixed 1 r.Loadgen.throughput); ("latency_ms", Json.Obj latency);
+        ("settled", int r.Loadgen.settled); ("expired", int r.Loadgen.expired);
+        ("aborted", int r.Loadgen.aborted); ("busy", int r.Loadgen.busy);
+        ("dropped", int r.Loadgen.dropped); ("cache_hits", int r.Loadgen.cache_hits);
+        ("rss_kb", Json.Obj rss); ("trace", Json.Obj trace); ("server", Server.stats_json stats) ]
 
 (* Static-analysis cost: what the abstract interpreter
    (Trust_analyze.Static_exposure) costs when run cold on a spec shape
@@ -992,19 +1001,18 @@ let analyze_json () =
     in
     let exposure = entry.Cache.exposure in
     let ratio = if cold > 0. then hit /. cold else 0. in
-    ( Printf.sprintf
-        "{\"shape\":\"%s\",\"steps\":%d,\"verdict\":\"%s\",\"cold_ns\":%.0f,\"hit_ns\":%.0f,\"hit_over_cold\":%.4f}"
-        name exposure.SE.steps
-        (SE.verdict_label exposure.SE.verdict)
-        cold hit ratio,
+    ( Json.Obj
+        [ ("shape", Json.Str name); ("steps", Json.int exposure.SE.steps);
+          ("verdict", Json.Str (SE.verdict_label exposure.SE.verdict));
+          ("cold_ns", Json.fixed 0 cold); ("hit_ns", Json.fixed 0 hit);
+          ("hit_over_cold", Json.fixed 4 ratio) ],
       ratio )
   in
   let rows = List.map measure shapes in
   let max_ratio = List.fold_left (fun acc (_, r) -> Float.max acc r) 0. rows in
-  Printf.printf
-    "{\"bench\":\"analyze_static_exposure\",\"version\":\"%s\",\"host\":%s,\"cold_iters\":%d,\"hit_iters\":%d,\"max_hit_over_cold\":%.4f,\"shapes\":[%s]}\n"
-    Trustseq_version.Version.v (host_json ()) cold_iters hit_iters max_ratio
-    (String.concat "," (List.map fst rows))
+  emit "analyze_static_exposure"
+    [ ("cold_iters", Json.int cold_iters); ("hit_iters", Json.int hit_iters);
+      ("max_hit_over_cold", Json.fixed 4 max_ratio); ("shapes", Json.Arr (List.map fst rows)) ]
 
 (* Compiled hot path: the allocation-free plan runtime
    (Trust_core.Compile + Trust_sim.Hotpath) against the interpreted
@@ -1029,15 +1037,6 @@ let hotpath_json () =
   let workload () =
     Service.sessions_of_config { Service.default with Service.sessions; seed = 42L }
   in
-  let digest_of batch =
-    let line (s : Session.t) =
-      Printf.sprintf "%d:%s:%d:%d:%d" s.Session.id
-        (Session.status_label s.Session.status)
-        s.Session.ticks s.Session.events s.Session.attempts
-    in
-    Printf.sprintf "%016Lx"
-      (Trust_serve.Shape.fnv1a (String.concat "\n" (List.map line batch)))
-  in
   let run ~compiled jobs =
     let cache = Cache.create ~capacity:Service.default.Service.cache_capacity Cache.default_policy in
     let cfg =
@@ -1059,7 +1058,7 @@ let hotpath_json () =
       ignore (Scheduler.run cfg cache batch);
       let wall = Unix.gettimeofday () -. t0 in
       if wall < !best_wall then best_wall := wall;
-      let d = digest_of batch in
+      let d = outcome_digest batch in
       if !digest = "" then digest := d
       else if not (String.equal !digest d) then begin
         prerr_endline "hotpath bench: digest varies across repeat runs";
@@ -1095,13 +1094,20 @@ let hotpath_json () =
   in
   let words_interp = words_per_session ~compiled:false in
   let words_comp = words_per_session ~compiled:true in
-  Printf.printf
-    "{\"bench\":\"hotpath\",\"version\":\"%s\",\"host\":%s,\"sessions\":%d,\"seed\":42,\"drop_rate\":0.02,\"warm_cache\":true,\"interpreted\":{\"sessions_per_sec_jobs1\":%.1f,\"sessions_per_sec_jobs4\":%.1f,\"minor_words_per_hit\":%.0f},\"compiled\":{\"sessions_per_sec_jobs1\":%.1f,\"sessions_per_sec_jobs4\":%.1f,\"minor_words_per_hit\":%.0f},\"speedup_jobs1\":%.2f,\"alloc_reduction\":%.1f,\"digests_match\":%b}\n"
-    Trustseq_version.Version.v (host_json ()) sessions (fst interp1) (fst interp4) words_interp
-    (fst comp1) (fst comp4) words_comp
-    (if fst interp1 > 0. then fst comp1 /. fst interp1 else 0.)
-    (if words_comp > 0. then words_interp /. words_comp else 0.)
-    digests_match
+  let path (jobs1, _) (jobs4, _) words =
+    Json.Obj
+      [ ("sessions_per_sec_jobs1", Json.fixed 1 jobs1);
+        ("sessions_per_sec_jobs4", Json.fixed 1 jobs4);
+        ("minor_words_per_hit", Json.fixed 0 words) ]
+  in
+  let ratio a b = if b > 0. then a /. b else 0. in
+  emit "hotpath"
+    [ ("sessions", Json.int sessions); ("seed", Json.int 42); ("drop_rate", Json.Num "0.02");
+      ("warm_cache", Json.Bool true); ("interpreted", path interp1 interp4 words_interp);
+      ("compiled", path comp1 comp4 words_comp);
+      ("speedup_jobs1", Json.fixed 2 (ratio (fst comp1) (fst interp1)));
+      ("alloc_reduction", Json.fixed 1 (ratio words_interp words_comp));
+      ("digests_match", Json.Bool digests_match) ]
 
 (* Trace-mining feedback loop, end to end at the scheduler layer (the
    daemon wires the identical pieces behind --mine-every): a
@@ -1140,23 +1146,7 @@ let mine_json () =
   in
   let board_of jobs =
     let outcome = Service.run (observe_cfg jobs) in
-    let ring =
-      match outcome.Service.ring with
-      | Some ring -> ring
-      | None ->
-        prerr_endline "mine bench: expected a ring sink";
-        exit 2
-    in
-    match Ring.decode (Ring.dump ring) with
-    | Error e ->
-      prerr_endline ("mine bench: ring decode failed: " ^ e);
-      exit 2
-    | Ok (ss, stats) ->
-      if stats.Ring.d_dropped <> 0 then begin
-        prerr_endline "mine bench: observation ring wrapped; size it up";
-        exit 2
-      end;
-      (Mine.of_sessions ss, outcome)
+    (Mine.of_sessions (fst (decoded_ring ~bench:"mine" ~whole:true outcome)), outcome)
   in
   let board, observed = board_of 1 in
   let board4, _ = board_of 4 in
@@ -1216,12 +1206,27 @@ let mine_json () =
   let incidents =
     List.fold_left (fun acc (r : Mine.row) -> acc + r.Mine.retried + r.Mine.expired) 0 rows
   in
-  Printf.printf
-    "{\"bench\":\"mine_feedback\",\"version\":\"%s\",\"host\":%s,\"sessions\":%d,\"seed\":42,\"drop_rate\":0.05,\"defect_every\":7,\"cache_capacity\":%d,\"scoreboard\":{\"sessions\":%d,\"shapes\":%d,\"violating_sessions\":%d,\"retry_expiry_incidents\":%d,\"jobs_identical\":%b},\"policy\":{\"pin_candidates\":%d,\"deny_candidates\":%d,\"prewarmed\":%d,\"pinned\":%d},\"followup\":{\"seed\":43,\"off\":{\"cache_hit_rate\":%.4f,\"denied_sessions\":%d},\"on\":{\"cache_hit_rate\":%.4f,\"denied_sessions\":%d}},\"hit_rate_gain\":%.4f}\n"
-    Trustseq_version.Version.v (host_json ()) sessions capacity (Mine.sessions board)
-    (Mine.shapes board) violations incidents jobs_identical (List.length pins)
-    (List.length denies) prewarmed pinned hit_off denied_off hit_on denied_on
-    (hit_on -. hit_off)
+  let int = Json.int in
+  let scoreboard =
+    [ ("sessions", int (Mine.sessions board)); ("shapes", int (Mine.shapes board));
+      ("violating_sessions", int violations); ("retry_expiry_incidents", int incidents);
+      ("jobs_identical", Json.Bool jobs_identical) ]
+  in
+  let policy =
+    [ ("pin_candidates", int (List.length pins)); ("deny_candidates", int (List.length denies));
+      ("prewarmed", int prewarmed); ("pinned", int pinned) ]
+  in
+  let phase hit denied =
+    Json.Obj [ ("cache_hit_rate", Json.fixed 4 hit); ("denied_sessions", int denied) ]
+  in
+  let followup =
+    [ ("seed", int 43); ("off", phase hit_off denied_off); ("on", phase hit_on denied_on) ]
+  in
+  emit "mine_feedback"
+    [ ("sessions", int sessions); ("seed", int 42); ("drop_rate", Json.Num "0.05");
+      ("defect_every", int 7); ("cache_capacity", int capacity);
+      ("scoreboard", Json.Obj scoreboard); ("policy", Json.Obj policy);
+      ("followup", Json.Obj followup); ("hit_rate_gain", Json.fixed 4 (hit_on -. hit_off)) ]
 
 (* driver *)
 
@@ -1250,34 +1255,22 @@ let () =
      | [] -> ()
    in
    find args);
-  if List.mem "--serve-json" args then begin
-    serve_json ();
-    exit 0
-  end;
-  if List.mem "--parallel-json" args then begin
-    parallel_json ();
-    exit 0
-  end;
-  if List.mem "--obs-json" args then begin
-    obs_json ();
-    exit 0
-  end;
-  if List.mem "--daemon-json" args then begin
-    daemon_json ();
-    exit 0
-  end;
-  if List.mem "--analyze-json" args then begin
-    analyze_json ();
-    exit 0
-  end;
-  if List.mem "--hotpath-json" args then begin
-    hotpath_json ();
-    exit 0
-  end;
-  if List.mem "--mine-json" args then begin
-    mine_json ();
-    exit 0
-  end;
+  (* the first JSON mode named wins; each prints one object through [emit] *)
+  List.iter
+    (fun (flag, run) ->
+      if List.mem flag args then begin
+        run ();
+        exit 0
+      end)
+    [
+      ("--serve-json", serve_json);
+      ("--parallel-json", parallel_json);
+      ("--obs-json", obs_json);
+      ("--daemon-json", daemon_json);
+      ("--analyze-json", analyze_json);
+      ("--hotpath-json", hotpath_json);
+      ("--mine-json", mine_json);
+    ];
   let table =
     let rec find = function
       | "--table" :: id :: _ -> Some id

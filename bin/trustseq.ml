@@ -60,22 +60,9 @@ let land_output path rendered =
 let write_trace fmt path traces =
   land_output path (Obs.export ~producer:("trustseq " ^ version) fmt traces)
 
-(* The automatic indemnity rescue, merged into a single plan (the same
-   folding simulate/route use). *)
-let rescue_plan ?shared spec =
-  match Feasibility.rescue_with_indemnities ?shared spec with
-  | None -> None
-  | Some r -> (
-    match r.Feasibility.plans with
-    | [] -> None
-    | [ plan ] -> Some plan
-    | plans ->
-      Some
-        Indemnity.
-          {
-            offers = List.concat_map (fun p -> p.offers) plans;
-            total = Feasibility.total_indemnity r;
-          })
+(* The automatic indemnity rescue, merged into a single plan. *)
+let rescue_plan spec =
+  Option.bind (Feasibility.rescue_with_indemnities spec) Feasibility.merged_plan
 
 let or_die = function
   | Ok v -> v
@@ -634,18 +621,7 @@ let route_cmd =
         else
           match Feasibility.rescue_with_indemnities ~shared:true spec with
           | Some rescue ->
-            let plan =
-              match rescue.Feasibility.plans with
-              | [ plan ] -> Some plan
-              | plans ->
-                Some
-                  Indemnity.
-                    {
-                      offers = List.concat_map (fun p -> p.offers) plans;
-                      total = Feasibility.total_indemnity rescue;
-                    }
-            in
-            ( plan,
+            ( Feasibility.merged_plan rescue,
               Printf.sprintf "FEASIBLE with %s of indemnities"
                 (Report.Table.money (Feasibility.total_indemnity rescue)) )
           | None -> (None, "INFEASIBLE")
@@ -1541,7 +1517,7 @@ let serve_cmd =
       ((match socket with Some p -> [ "unix:" ^ p ] | None -> [])
       @ match tcp with Some (h, p) -> [ Printf.sprintf "tcp:%s:%d" h p ] | None -> []);
     let stats = Server.run ~stop config in
-    prerr_endline ("trustseq serve: drained " ^ Server.stats_json stats);
+    prerr_endline ("trustseq serve: drained " ^ Trust_obs.Json.to_string (Server.stats_json stats));
     if stats.Server.drained then 0 else 1
   in
   let socket =

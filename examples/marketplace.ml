@@ -61,14 +61,7 @@ let settle stats spec =
     | Some rescue ->
       stats.rescued <- stats.rescued + 1;
       stats.indemnity_cents <- stats.indemnity_cents + Feasibility.total_indemnity rescue;
-      let plan =
-        Trust_core.Indemnity.
-          {
-            offers = List.concat_map (fun p -> p.offers) rescue.Feasibility.plans;
-            total = Feasibility.total_indemnity rescue;
-          }
-      in
-      finish (Some plan) rescue.Feasibility.analysis
+      finish (Feasibility.merged_plan rescue) rescue.Feasibility.analysis
     | None -> stats.failed <- stats.failed + 1
 
 let () =

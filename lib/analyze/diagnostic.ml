@@ -144,8 +144,7 @@ let render_human diagnostics =
   String.concat "\n"
     (List.map (fun d -> Format.asprintf "@[<v>%a@]" pp d) diagnostics)
 
-(* Emitted by hand; strings go through the tree's one RFC 8259 escaper. *)
-let json_string s = "\"" ^ Trust_obs.Json.escape s ^ "\""
+module Json = Trust_obs.Json
 
 let severity_string = function
   | Error -> "error"
@@ -153,29 +152,20 @@ let severity_string = function
   | Info -> "info"
 
 let json_of_diagnostic d =
-  let fields = ref [] in
-  let add k v = fields := (k, v) :: !fields in
-  add "code" (json_string (code_id d.code));
-  add "name" (json_string (code_name d.code));
-  add "severity" (json_string (severity_string d.severity));
-  add "message" (json_string d.message);
-  (match d.file with Some f -> add "file" (json_string f) | None -> ());
-  (match d.loc with
-  | Some loc ->
-    add "line" (string_of_int loc.Loc.line);
-    add "col" (string_of_int loc.Loc.col)
-  | None -> ());
-  if d.notes <> [] then
-    add "notes"
-      (Printf.sprintf "[%s]" (String.concat "," (List.map json_string d.notes)));
-  Printf.sprintf "{%s}"
-    (String.concat ","
-       (List.rev_map (fun (k, v) -> Printf.sprintf "%s:%s" (json_string k) v)
-          !fields))
+  Json.Obj
+    ([ ("code", Json.Str (code_id d.code)); ("name", Json.Str (code_name d.code));
+       ("severity", Json.Str (severity_string d.severity)); ("message", Json.Str d.message) ]
+    @ Option.fold ~none:[] ~some:(fun f -> [ ("file", Json.Str f) ]) d.file
+    @ Option.fold ~none:[]
+        ~some:(fun l -> [ ("line", Json.int l.Loc.line); ("col", Json.int l.Loc.col) ])
+        d.loc
+    @ if d.notes = [] then [] else [ ("notes", Json.Arr (List.map (fun n -> Json.Str n) d.notes)) ])
 
 let render_json diagnostics =
-  Printf.sprintf "{\"version\":1,\"diagnostics\":[%s]}"
-    (String.concat "," (List.map json_of_diagnostic diagnostics))
+  Json.to_string
+    (Json.Obj
+       [ ("version", Json.int 1);
+         ("diagnostics", Json.Arr (List.map json_of_diagnostic diagnostics)) ])
 
 let sarif_level = function
   | Error -> "error"
@@ -190,43 +180,46 @@ let help_uri code =
   Printf.sprintf "https://example.invalid/trustseq/docs/LINT.md#%s"
     (String.lowercase_ascii (code_id code))
 
+let text s = Json.Obj [ ("text", Json.Str s) ]
+
 let sarif_rule code =
-  Printf.sprintf
-    "{\"id\":%s,\"name\":%s,\"shortDescription\":{\"text\":%s},\"helpUri\":%s,\"defaultConfiguration\":{\"level\":%s}}"
-    (json_string (code_id code))
-    (json_string (code_name code))
-    (json_string (code_name code))
-    (json_string (help_uri code))
-    (json_string (sarif_level (default_severity code)))
+  Json.Obj
+    [ ("id", Json.Str (code_id code)); ("name", Json.Str (code_name code));
+      ("shortDescription", text (code_name code)); ("helpUri", Json.Str (help_uri code));
+      ( "defaultConfiguration",
+        Json.Obj [ ("level", Json.Str (sarif_level (default_severity code))) ] ) ]
 
 let sarif_result d =
-  let location =
-    match d.file with
-    | None -> ""
-    | Some file ->
-      let region =
-        match d.loc with
-        | Some loc ->
-          Printf.sprintf ",\"region\":{\"startLine\":%d,\"startColumn\":%d}"
-            loc.Loc.line loc.Loc.col
-        | None -> ""
-      in
-      Printf.sprintf
-        ",\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":%s}%s}}]"
-        (json_string file) region
+  let location file =
+    let region l =
+      let start = [ ("startLine", Json.int l.Loc.line); ("startColumn", Json.int l.Loc.col) ] in
+      [ ("region", Json.Obj start) ]
+    in
+    let artifact = ("artifactLocation", Json.Obj [ ("uri", Json.Str file) ]) in
+    let physical = Json.Obj (artifact :: Option.fold ~none:[] ~some:region d.loc) in
+    [ ("locations", Json.Arr [ Json.Obj [ ("physicalLocation", physical) ] ]) ]
   in
-  let text =
+  let message =
     match d.notes with
     | [] -> d.message
     | notes -> String.concat "\n" (d.message :: notes)
   in
-  Printf.sprintf "{\"ruleId\":%s,\"level\":%s,\"message\":{\"text\":%s}%s}"
-    (json_string (code_id d.code))
-    (json_string (sarif_level d.severity))
-    (json_string text) location
+  Json.Obj
+    ([ ("ruleId", Json.Str (code_id d.code)); ("level", Json.Str (sarif_level d.severity));
+       ("message", text message) ]
+    @ Option.fold ~none:[] ~some:location d.file)
 
 let render_sarif diagnostics =
-  Printf.sprintf
-    "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\"name\":\"trustseq-lint\",\"informationUri\":\"https://example.invalid/trustseq\",\"rules\":[%s]}},\"results\":[%s]}]}"
-    (String.concat "," (List.map sarif_rule all_codes))
-    (String.concat "," (List.map sarif_result diagnostics))
+  let driver =
+    [ ("name", Json.Str "trustseq-lint");
+      ("informationUri", Json.Str "https://example.invalid/trustseq");
+      ("rules", Json.Arr (List.map sarif_rule all_codes)) ]
+  in
+  let run =
+    [ ("tool", Json.Obj [ ("driver", Json.Obj driver) ]);
+      ("results", Json.Arr (List.map sarif_result diagnostics)) ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("$schema", Json.Str "https://json.schemastore.org/sarif-2.1.0.json");
+         ("version", Json.Str "2.1.0"); ("runs", Json.Arr [ Json.Obj run ]) ])

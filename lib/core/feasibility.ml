@@ -69,6 +69,14 @@ let rescue_with_indemnities ?shared ?analysis spec =
 let total_indemnity rescue =
   List.fold_left (fun acc p -> acc + p.Indemnity.total) 0 rescue.plans
 
+let merged_plan rescue =
+  match rescue.plans with
+  | [] -> None
+  | [ plan ] -> Some plan
+  | plans ->
+    let offers = List.concat_map (fun p -> p.Indemnity.offers) plans in
+    Some { Indemnity.offers; total = total_indemnity rescue }
+
 let pp_analysis ppf analysis =
   Format.fprintf ppf "@[<v>%a" Reduce.pp_outcome analysis.outcome;
   (match analysis.sequence with

@@ -38,4 +38,9 @@ val rescue_with_indemnities : ?shared:bool -> ?analysis:analysis -> Spec.t -> re
 
 val total_indemnity : rescue -> Asset.money
 
+val merged_plan : rescue -> Indemnity.plan option
+(** The rescue's per-conjunction plans as the one plan a run installs:
+    their offers in order, priced at {!total_indemnity}. [None] when
+    nothing was split. *)
+
 val pp_analysis : Format.formatter -> analysis -> unit

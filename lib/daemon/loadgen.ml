@@ -1,6 +1,7 @@
 module Universe = Workload.Universe
 module Prng = Workload.Prng
 module Printer = Trust_lang.Printer
+module Json = Trust_obs.Json
 
 type config = {
   connect : string;
@@ -125,10 +126,16 @@ let run cfg =
         })
 
 let json r =
-  Printf.sprintf
-    {|{"sent":%d,"settled":%d,"expired":%d,"aborted":%d,"busy":%d,"dropped":%d,"refused":%d,"cache_hits":%d,"wall_s":%.3f,"throughput_rps":%.1f,"latency_ms":{"p50":%.3f,"p90":%.3f,"p99":%.3f,"max":%.3f}}|}
-    r.sent r.settled r.expired r.aborted r.busy r.dropped r.refused r.cache_hits r.wall
-    r.throughput r.p50_ms r.p90_ms r.p99_ms r.max_ms
+  let int = Json.int and ms = Json.fixed 3 in
+  let latency =
+    [ ("p50", ms r.p50_ms); ("p90", ms r.p90_ms); ("p99", ms r.p99_ms); ("max", ms r.max_ms) ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("sent", int r.sent); ("settled", int r.settled); ("expired", int r.expired);
+         ("aborted", int r.aborted); ("busy", int r.busy); ("dropped", int r.dropped);
+         ("refused", int r.refused); ("cache_hits", int r.cache_hits); ("wall_s", ms r.wall);
+         ("throughput_rps", Json.fixed 1 r.throughput); ("latency_ms", Json.Obj latency) ])
 
 let table r =
   String.concat "\n"

@@ -3,6 +3,7 @@ module Metrics = Trust_serve.Metrics
 module Scheduler = Trust_serve.Scheduler
 module Session = Trust_serve.Session
 module Obs = Trust_obs.Obs
+module Json = Trust_obs.Json
 module Ring = Trust_obs.Ring
 module Mine = Trust_obs.Mine
 module B64 = Trust_obs.B64
@@ -72,10 +73,12 @@ type stats = {
 }
 
 let stats_json s =
-  Printf.sprintf
-    {|{"served":%d,"settled":%d,"expired":%d,"aborted":%d,"busy":%d,"protocol_errors":%d,"connections":%d,"epochs":%d,"aged_out":%d,"cache_size":%d,"drained":%b}|}
-    s.served s.settled s.expired s.aborted s.busy s.protocol_errors s.connections
-    s.epochs s.aged_out s.cache_size s.drained
+  let int = Json.int in
+  Json.Obj
+    [ ("served", int s.served); ("settled", int s.settled); ("expired", int s.expired);
+      ("aborted", int s.aborted); ("busy", int s.busy); ("protocol_errors", int s.protocol_errors);
+      ("connections", int s.connections); ("epochs", int s.epochs); ("aged_out", int s.aged_out);
+      ("cache_size", int s.cache_size); ("drained", Json.Bool s.drained) ]
 
 (* -- connections -- *)
 
@@ -266,16 +269,11 @@ let request_pass srv ~record ~session:n ~id ~spec obs =
         if record then srv.parse_rejected <- srv.parse_rejected + 1;
         (zero_result ~id ~status:"error" ~exit_code:2 ~reason:(Some e), None)
       | Ok parsed ->
-        (* optional fault injection (CI smokes, soak tests): every
-           [defect_every]-th session defects silently, exactly the
-           batch Service knob. Keyed on the session id, so the tail
-           replay re-derives the identical cast. *)
+        (* optional fault injection (CI smokes, soak tests): the batch
+           Service's rule, keyed on the session id, so the tail replay
+           re-derives the identical cast. *)
         let defectors =
-          if srv.cfg.defect_every > 0 && (n + 1) mod srv.cfg.defect_every = 0 then
-            match Trust_sim.Harness.defectable_principals parsed with
-            | party :: _ -> [ (party, Trust_sim.Harness.Silent) ]
-            | [] -> []
-          else []
+          Trust_sim.Harness.injected_defectors ~every:srv.cfg.defect_every ~index:n parsed
         in
         let session = Session.make ~id:n ~defectors parsed in
         let metrics = if record then Some srv.metrics else None in
@@ -385,7 +383,7 @@ let handle_request srv conn = function
   | Wire.Metrics { id } ->
     send conn (Wire.Text { id; kind = "metrics"; text = Metrics.to_text srv.metrics })
   | Wire.Stats { id } ->
-    send conn (Wire.Text { id; kind = "stats"; text = stats_json (snapshot srv) })
+    send conn (Wire.Text { id; kind = "stats"; text = Json.to_string (stats_json (snapshot srv)) })
   | Wire.Trace { id } ->
     (* drain semantics: each trace request returns the records kept
        since the previous one, base64ed over the ordinary text frame;

@@ -115,5 +115,5 @@ val run : ?stop:bool Atomic.t -> ?metrics:Trust_serve.Metrics.t -> config -> sta
     forever, when omitted). Creates a fresh metrics registry when none
     is given. @raise Invalid_argument when no listener is configured. *)
 
-val stats_json : stats -> string
-(** One-line JSON of the counters above. *)
+val stats_json : stats -> Trust_obs.Json.t
+(** The counters above as one JSON object. *)

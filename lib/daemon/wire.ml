@@ -30,36 +30,37 @@ type response =
   | Text of { id : int; kind : string; text : string }
   | Refused of { id : int option; reason : string }
 
+let message ty fields = Json.to_string (Json.Obj (("type", Json.Str ty) :: fields))
+let with_id ty id = message ty [ ("id", Json.int id) ]
+
 let encode_request = function
-  | Hello { version } -> Printf.sprintf {|{"type":"hello","version":%d}|} version
-  | Submit { id; spec } ->
-    Printf.sprintf {|{"type":"submit","id":%d,"spec":"%s"}|} id (Json.escape spec)
-  | Ping { id } -> Printf.sprintf {|{"type":"ping","id":%d}|} id
-  | Metrics { id } -> Printf.sprintf {|{"type":"metrics","id":%d}|} id
-  | Stats { id } -> Printf.sprintf {|{"type":"stats","id":%d}|} id
-  | Trace { id } -> Printf.sprintf {|{"type":"trace","id":%d}|} id
+  | Hello { version } -> message "hello" [ ("version", Json.int version) ]
+  | Submit { id; spec } -> message "submit" [ ("id", Json.int id); ("spec", Json.Str spec) ]
+  | Ping { id } -> with_id "ping" id
+  | Metrics { id } -> with_id "metrics" id
+  | Stats { id } -> with_id "stats" id
+  | Trace { id } -> with_id "trace" id
 
 let encode_response = function
   | Welcome { version; server } ->
-    Printf.sprintf {|{"type":"welcome","version":%d,"server":"%s"}|} version
-      (Json.escape server)
+    message "welcome" [ ("version", Json.int version); ("server", Json.Str server) ]
   | Result r ->
-    Printf.sprintf
-      {|{"type":"result","id":%d,"status":"%s","exit_code":%d,"cache_hit":%b,"ticks":%d,"events":%d,"attempts":%d,"exposure_peak":%d,"exposure_ticks":%d,"exposure_violations":%d%s}|}
-      r.id (Json.escape r.status) r.exit_code r.cache_hit r.ticks r.events r.attempts
-      r.exposure_peak r.exposure_ticks r.exposure_violations
-      (match r.reason with
-      | None -> ""
-      | Some reason -> Printf.sprintf {|,"reason":"%s"|} (Json.escape reason))
-  | Busy { id } -> Printf.sprintf {|{"type":"busy","id":%d}|} id
-  | Pong { id } -> Printf.sprintf {|{"type":"pong","id":%d}|} id
+    let int = Json.int in
+    message "result"
+      ([ ("id", int r.id); ("status", Json.Str r.status); ("exit_code", int r.exit_code);
+         ("cache_hit", Json.Bool r.cache_hit); ("ticks", int r.ticks); ("events", int r.events);
+         ("attempts", int r.attempts); ("exposure_peak", int r.exposure_peak);
+         ("exposure_ticks", int r.exposure_ticks);
+         ("exposure_violations", int r.exposure_violations) ]
+      @ Option.fold ~none:[] ~some:(fun reason -> [ ("reason", Json.Str reason) ]) r.reason)
+  | Busy { id } -> with_id "busy" id
+  | Pong { id } -> with_id "pong" id
   | Text { id; kind; text } ->
-    Printf.sprintf {|{"type":"text","id":%d,"kind":"%s","text":"%s"}|} id
-      (Json.escape kind) (Json.escape text)
+    message "text" [ ("id", Json.int id); ("kind", Json.Str kind); ("text", Json.Str text) ]
   | Refused { id; reason } ->
-    Printf.sprintf {|{"type":"refused"%s,"reason":"%s"}|}
-      (match id with None -> "" | Some id -> Printf.sprintf {|,"id":%d|} id)
-      (Json.escape reason)
+    message "refused"
+      (Option.fold ~none:[] ~some:(fun id -> [ ("id", Json.int id) ]) id
+      @ [ ("reason", Json.Str reason) ])
 
 let decode decoders payload =
   match Json.parse payload with

@@ -44,11 +44,6 @@ val beneficiary : t -> Party.t
 (** The party that receives something: target of a [Do], source of an
     [Undo] (it gets its asset back), the informed party of a [Notify]. *)
 
-val is_message : t -> bool
-(** Every action counts as one network message in the §8 cost model;
-    this is [true] for all constructors and exists for clarity of the
-    cost-model code. *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -32,42 +32,3 @@ type decl =
   | Persona of { trusted : string Loc.located; principal : string Loc.located }
 
 type program = decl list
-
-let pp_role ppf r =
-  Format.pp_print_string ppf
-    (match r with Consumer -> "consumer" | Producer -> "producer" | Broker -> "broker")
-
-let pp_asset ppf = function
-  | Pays cents -> Format.pp_print_string ppf (Token.to_string (Token.Money cents))
-  | Gives doc -> Format.fprintf ppf "%S" doc
-
-let pp_leg ppf leg =
-  Format.fprintf ppf "%s %s %a" leg.party.Loc.value
-    (match leg.asset with Pays _ -> "pays" | Gives _ -> "gives")
-    pp_asset leg.asset
-
-let pp_side ppf s =
-  Format.pp_print_string ppf (match s with Buyer -> "buyer" | Seller -> "seller")
-
-let pp_cref ppf c = Format.fprintf ppf "%s.%a" c.deal.Loc.value pp_side c.side
-
-let pp_decl ppf = function
-  | Principal { name; role } ->
-    Format.fprintf ppf "principal %s : %a" name.Loc.value pp_role role
-  | Trusted name -> Format.fprintf ppf "trusted %s" name.Loc.value
-  | Deal { id; first; second; via; deadline } ->
-    Format.fprintf ppf "deal %s: %a; %a; via %s%t" id.Loc.value pp_leg first pp_leg second
-      via.Loc.value (fun ppf ->
-        match deadline with Some n -> Format.fprintf ppf " within %d" n | None -> ())
-  | Priority { owner; target } ->
-    Format.fprintf ppf "priority %s : %a" owner.Loc.value pp_cref target
-  | Split { owner; target } -> Format.fprintf ppf "split %s : %a" owner.Loc.value pp_cref target
-  | Trust { truster; trustee } ->
-    Format.fprintf ppf "trust %s -> %s" truster.Loc.value trustee.Loc.value
-  | Relay name -> Format.fprintf ppf "relay %s" name.Loc.value
-  | Request { id; buyer; good; seller; price } ->
-    Format.fprintf ppf "request %s: %s buys %S from %s for %s" id.Loc.value buyer.Loc.value
-      good seller.Loc.value
-      (Token.to_string (Token.Money price))
-  | Persona { trusted; principal } ->
-    Format.fprintf ppf "persona %s is %s" trusted.Loc.value principal.Loc.value

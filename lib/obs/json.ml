@@ -168,8 +168,12 @@ let as_int = function
 let as_str = function Str s -> s | _ -> raise (Bad "expected a string")
 let as_bool = function Bool b -> b | _ -> raise (Bad "expected a boolean")
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
+let int n = Num (string_of_int n)
+let fixed digits x = Num (Printf.sprintf "%.*f" digits x)
+
+(* The one RFC 8259 string writer: the inverse of [string_lit] above. *)
+let string buf s =
+  Buffer.add_char buf '"';
   String.iter
     (fun c ->
       match c with
@@ -181,4 +185,33 @@ let escape s =
       | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
+  Buffer.add_char buf '"'
+
+let rec write buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Num n -> Buffer.add_string buf n
+  | Str s -> string buf s
+  | Obj kvs ->
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char buf ',';
+        string buf k;
+        Buffer.add_char buf ':';
+        write buf v)
+      kvs;
+    Buffer.add_char buf '}'
+  | Arr vs ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_char buf ',';
+        write buf v)
+      vs;
+    Buffer.add_char buf ']'
+
+let to_string v =
+  let buf = Buffer.create 256 in
+  write buf v;
   Buffer.contents buf

@@ -1,7 +1,8 @@
-(** A minimal JSON reader, shared by the trace-analytics re-parse path
-    ({!Analysis.of_jsonl}) and the daemon wire protocol.
+(** The tree's one JSON reader and writer, shared by the trace exporters
+    and their re-parse path ({!Analysis.of_jsonl}), the daemon wire
+    protocol, lint diagnostics, metrics and the bench emitters.
 
-    It reads exactly the JSON this codebase itself emits — objects,
+    The reader takes exactly the JSON this codebase itself emits — objects,
     arrays, strings with the standard escapes, raw numbers, booleans,
     null — and rejects anything with trailing garbage. Numbers are kept
     as their source text so callers decide int vs float. *)
@@ -33,7 +34,15 @@ val as_int : t -> int
 val as_str : t -> string
 val as_bool : t -> bool
 
-val escape : string -> string
-(** The body of a JSON string literal for [s] (no surrounding quotes):
-    ["\""], backslash and control characters escaped, the rest verbatim.
-    Inverse of the string reader in {!parse} for ASCII payloads. *)
+val int : int -> t
+(** [Num] of the decimal rendering ([%d]). *)
+
+val fixed : int -> float -> t
+(** [fixed digits x] — [Num] of [x] with [digits] decimals ([%.*f]). *)
+
+val to_string : t -> string
+(** Compact JSON text for a value: no whitespace, members in list
+    order, [Num] text verbatim, strings with ["\""], backslash and
+    control bytes escaped and every other byte verbatim. The one
+    writer: when every [Num] holds JSON number text, {!parse} reads
+    back exactly the value written. *)

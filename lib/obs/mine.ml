@@ -189,25 +189,25 @@ let deny_candidates ?(min_violations = 1) t =
   |> List.map (fun r -> r.shape)
 
 let json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf {|{"sessions":%d,"shapes":%d,"rows":[|} (sessions t) (shapes t));
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           {|{"shape":"%s","sessions":%d,"keeps":{"sampled":%d,"violation":%d,"retry":%d,"expiry":%d,"lint":%d},"settled":%d,"expired":%d,"aborted":%d,"retried":%d,"attempts":%d,"retry_rate":%.4f,"expiry_rate":%.4f,"violations":%d,"violation_sessions":%d,"exposure_ticks":%d,"ticks":%d,"self_vt":{%s}}|}
-           (Json.escape r.shape) r.sessions r.k_sampled r.k_violation r.k_retry r.k_expiry
-           r.k_lint r.settled r.expired r.aborted r.retried r.attempts (retry_rate r)
-           (expiry_rate r) r.violations r.violation_sessions r.exposure_ticks r.ticks
-           (String.concat ","
-              (List.map
-                 (fun (phase, vt) -> Printf.sprintf {|"%s":%d|} (Json.escape phase) vt)
-                 r.self_vt))))
-    (rows t);
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let int = Json.int in
+  let row r =
+    let keeps =
+      [ ("sampled", int r.k_sampled); ("violation", int r.k_violation); ("retry", int r.k_retry);
+        ("expiry", int r.k_expiry); ("lint", int r.k_lint) ]
+    in
+    Json.Obj
+      [ ("shape", Json.Str r.shape); ("sessions", int r.sessions); ("keeps", Json.Obj keeps);
+        ("settled", int r.settled); ("expired", int r.expired); ("aborted", int r.aborted);
+        ("retried", int r.retried); ("attempts", int r.attempts);
+        ("retry_rate", Json.fixed 4 (retry_rate r)); ("expiry_rate", Json.fixed 4 (expiry_rate r));
+        ("violations", int r.violations); ("violation_sessions", int r.violation_sessions);
+        ("exposure_ticks", int r.exposure_ticks); ("ticks", int r.ticks);
+        ("self_vt", Json.Obj (List.map (fun (phase, vt) -> (phase, int vt)) r.self_vt)) ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("sessions", int (sessions t)); ("shapes", int (shapes t));
+         ("rows", Json.Arr (List.map row (rows t))) ])
 
 let table t =
   let top_phases r =

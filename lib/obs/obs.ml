@@ -148,12 +148,6 @@ let format_of_string s =
   | "folded" -> Some Folded
   | _ -> None
 
-let value_json = function
-  | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%.6f" f
-  | Str s -> Printf.sprintf "\"%s\"" (Json.escape s)
-  | Bool b -> if b then "true" else "false"
-
 let value_text = function
   | Int i -> string_of_int i
   | Float f -> Printf.sprintf "%.6f" f
@@ -161,8 +155,13 @@ let value_text = function
   | Bool b -> if b then "true" else "false"
 
 let attrs_json attrs =
-  String.concat ","
-    (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (Json.escape k) (value_json v)) attrs)
+  let value = function
+    | Int i -> Json.int i
+    | Float f -> Json.fixed 6 f
+    | Str s -> Json.Str s
+    | Bool b -> Json.Bool b
+  in
+  Json.Obj (List.map (fun (k, v) -> (k, value v)) attrs)
 
 let live ts = List.filter_map (function Null -> None | Active tr -> Some tr) ts
 
@@ -230,27 +229,28 @@ let of_views ~session ~clock views =
 
 let jsonl ?producer ts =
   let buf = Buffer.create 4096 in
-  (match producer with
-  | Some p -> Buffer.add_string buf (Printf.sprintf "{\"type\":\"meta\",\"producer\":\"%s\"}\n" (Json.escape p))
-  | None -> ());
+  let line fields =
+    Buffer.add_string buf (Json.to_string (Json.Obj fields));
+    Buffer.add_char buf '\n'
+  in
+  Option.iter (fun p -> line [ ("type", Json.Str "meta"); ("producer", Json.Str p) ]) producer;
   List.iter
     (fun tr ->
+      let session = ("session", Json.int tr.tr_session) in
       List.iter
         (fun sp ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"type\":\"span\",\"session\":%d,\"id\":%d,\"parent\":%s,\"phase\":\"%s\",\"name\":\"%s\",\"start\":%d,\"stop\":%d,\"attrs\":{%s}}\n"
-               tr.tr_session sp.sp_id
-               (match sp.sp_parent with Some p -> string_of_int p | None -> "null")
-               (Json.escape sp.sp_phase) (Json.escape sp.sp_name) sp.sp_start sp.sp_stop
-               (attrs_json (attr_order sp)));
+          let parent = match sp.sp_parent with Some p -> Json.int p | None -> Json.Null in
+          line
+            [ ("type", Json.Str "span"); session; ("id", Json.int sp.sp_id); ("parent", parent);
+              ("phase", Json.Str sp.sp_phase); ("name", Json.Str sp.sp_name);
+              ("start", Json.int sp.sp_start); ("stop", Json.int sp.sp_stop);
+              ("attrs", attrs_json (attr_order sp)) ];
           List.iter
             (fun e ->
-              Buffer.add_string buf
-                (Printf.sprintf
-                   "{\"type\":\"event\",\"session\":%d,\"span\":%d,\"vt\":%d,\"name\":\"%s\",\"attrs\":{%s}}\n"
-                   tr.tr_session sp.sp_id e.ev_vt (Json.escape e.ev_name)
-                   (attrs_json e.ev_attrs)))
+              line
+                [ ("type", Json.Str "event"); session; ("span", Json.int sp.sp_id);
+                  ("vt", Json.int e.ev_vt); ("name", Json.Str e.ev_name);
+                  ("attrs", attrs_json e.ev_attrs) ])
             (event_order sp))
         (span_order tr))
     ts;
@@ -258,32 +258,29 @@ let jsonl ?producer ts =
 
 let chrome ?producer ts =
   let entries = ref [] in
-  let push s = entries := s :: !entries in
+  let push fields = entries := Json.to_string (Json.Obj fields) :: !entries in
   List.iter
     (fun tr ->
-      (match producer with
-      | Some p ->
-        push
-          (Printf.sprintf
-             "{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-             tr.tr_session (Json.escape p))
-      | None -> ());
+      let pid = ("pid", Json.int tr.tr_session) and tid = ("tid", Json.int 0) in
+      Option.iter
+        (fun p ->
+          push
+            [ ("name", Json.Str "process_name"); ("ph", Json.Str "M"); ("ts", Json.int 0); pid;
+              tid; ("args", Json.Obj [ ("name", Json.Str p) ]) ])
+        producer;
       List.iter
         (fun sp ->
           let stop = if sp.sp_stop < 0 then sp.sp_start else sp.sp_stop in
+          let cat = ("cat", Json.Str sp.sp_phase) in
           push
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":0,\"args\":{%s}}"
-               (Json.escape sp.sp_name) (Json.escape sp.sp_phase) sp.sp_start
-               (stop - sp.sp_start) tr.tr_session
-               (attrs_json (attr_order sp)));
+            [ ("name", Json.Str sp.sp_name); cat; ("ph", Json.Str "X");
+              ("ts", Json.int sp.sp_start); ("dur", Json.int (stop - sp.sp_start)); pid; tid;
+              ("args", attrs_json (attr_order sp)) ];
           List.iter
             (fun e ->
               push
-                (Printf.sprintf
-                   "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"ts\":%d,\"pid\":%d,\"tid\":0,\"s\":\"t\",\"args\":{%s}}"
-                   (Json.escape e.ev_name) (Json.escape sp.sp_phase) e.ev_vt tr.tr_session
-                   (attrs_json e.ev_attrs)))
+                [ ("name", Json.Str e.ev_name); cat; ("ph", Json.Str "i"); ("ts", Json.int e.ev_vt);
+                  pid; tid; ("s", Json.Str "t"); ("args", attrs_json e.ev_attrs) ])
             (event_order sp))
         (span_order tr))
     ts;

@@ -99,17 +99,6 @@ let shard_count t = Array.length t.shards
 let shard_of t spec =
   (Int64.to_int (Shape.hash spec) land max_int) mod Array.length t.shards
 
-let merge_plans = function
-  | [] -> None
-  | [ plan ] -> Some plan
-  | plans ->
-    Some
-      Indemnity.
-        {
-          offers = List.concat_map (fun p -> p.offers) plans;
-          total = List.fold_left (fun acc p -> acc + p.Indemnity.total) 0 plans;
-        }
-
 (* Cold synthesis in one pass: the bare spec is analysed once; when it
    is stuck, the rescue loop starts from that analysis and hands back
    the analysis of the split spec it ends on. That one analysis's
@@ -124,7 +113,7 @@ let fresh policy spec =
       (None, analysis)
     else
       match Feasibility.rescue_with_indemnities ~shared ~analysis spec with
-      | Some rescue -> (merge_plans rescue.Feasibility.plans, rescue.Feasibility.analysis)
+      | Some rescue -> (Feasibility.merged_plan rescue, rescue.Feasibility.analysis)
       | None -> (None, analysis)
   in
   match Harness.protocol_of_analysis ~mode:policy.mode ?plan analysis with

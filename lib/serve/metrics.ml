@@ -5,6 +5,8 @@
    joined its workers; concurrent snapshots would only ever see a
    momentarily-torn histogram, never a crash. *)
 
+module Json = Trust_obs.Json
+
 type counter = { c_name : string; c_help : string; count : int Atomic.t }
 
 type histogram = {
@@ -148,15 +150,13 @@ let dump = to_text
 
 let to_json t =
   let metrics = sorted t in
-  let pick f = List.filter_map f metrics in
+  let pick f = Json.Obj (List.filter_map f metrics) in
   let counters =
-    pick (function
-      | name, Counter c -> Some (Printf.sprintf "%S:%d" name (Atomic.get c.count))
-      | _ -> None)
+    pick (function name, Counter c -> Some (name, Json.int (Atomic.get c.count)) | _ -> None)
   in
   let gauges =
     pick (function
-      | name, Gauge g when not g.g_volatile -> Some (Printf.sprintf "%S:%.6f" name g.v)
+      | name, Gauge g when not g.g_volatile -> Some (name, Json.fixed 6 g.v)
       | _ -> None)
   in
   let histograms =
@@ -171,16 +171,14 @@ let to_json t =
                  let le =
                    if i < Array.length h.bounds then string_of_int h.bounds.(i) else "+Inf"
                  in
-                 Printf.sprintf "%S:%d" le !cumulative)
+                 (le, Json.int !cumulative))
                h.counts)
         in
-        Some
-          (Printf.sprintf "%S:{\"buckets\":{%s},\"sum\":%d,\"count\":%d}" name
-             (String.concat "," buckets) h.sum h.total)
+        let totals = [ ("sum", Json.int h.sum); ("count", Json.int h.total) ] in
+        Some (name, Json.Obj (("buckets", Json.Obj buckets) :: totals))
       | _ -> None)
   in
-  Printf.sprintf "{\"counters\":{%s},\"gauges\":{%s},\"histograms\":{%s}}"
-    (String.concat "," counters) (String.concat "," gauges) (String.concat "," histograms)
+  Json.Obj [ ("counters", counters); ("gauges", gauges); ("histograms", histograms) ]
 
 let volatile_text t =
   let buf = Buffer.create 256 in

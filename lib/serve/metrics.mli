@@ -60,7 +60,7 @@ val dump : t -> string
 (** Alias for {!to_text} — the conventional name for a scrape-style
     dump. *)
 
-val to_json : t -> string
+val to_json : t -> Trust_obs.Json.t
 (** The same snapshot as one JSON object:
     [{"counters":{…},"gauges":{…},"histograms":{…}}], keys sorted.
     Volatile gauges are omitted. *)

@@ -1,6 +1,7 @@
 module Harness = Trust_sim.Harness
 module Gen = Workload.Gen
 module Prng = Workload.Prng
+module Json = Trust_obs.Json
 
 type config = {
   sessions : int;
@@ -76,17 +77,10 @@ let tally sessions =
 let sessions_of_config (config : config) =
   let rng = Prng.create config.seed in
   let specs = Gen.random_transactions rng config.mix config.sessions in
+  let every = Option.value config.defect_every ~default:0 in
   List.mapi
     (fun i spec ->
-      let defectors =
-        match config.defect_every with
-        | Some n when n > 0 && (i + 1) mod n = 0 -> (
-          match Harness.defectable_principals spec with
-          | party :: _ -> [ (party, Harness.Silent) ]
-          | [] -> [])
-        | _ -> []
-      in
-      Session.make ~id:i ~defectors spec)
+      Session.make ~id:i ~defectors:(Harness.injected_defectors ~every ~index:i spec) spec)
     specs
 
 let run (config : config) =
@@ -179,16 +173,26 @@ let report ppf outcome =
   Format.fprintf ppf "-- metrics --@.%s" (Metrics.to_text outcome.metrics)
 
 let json outcome =
-  let t = tally outcome.sessions in
-  let x = exposure_tally outcome.sessions in
-  Printf.sprintf
-    "{\"sessions\":%d,\"settled\":%d,\"expired\":%d,\"aborted\":%d,\"retried\":%d,\"cache\":{\"hits\":%d,\"misses\":%d,\"bypasses\":%d,\"evictions\":%d,\"hit_rate\":%.4f},\"makespan_ticks\":%d,\"concurrency\":%d,\"jobs\":%d,\"virtual_throughput\":%.2f,\"exposure\":{\"peak_at_risk\":%d,\"risk_ticks\":%d,\"at_risk_sessions\":%d,\"violations\":%d},\"metrics\":%s}"
-    outcome.config.sessions t.settled t.expired t.aborted outcome.stats.Scheduler.retried
-    (Cache.hits outcome.cache) (Cache.misses outcome.cache) (Cache.bypasses outcome.cache)
-    (Cache.evictions outcome.cache) (Cache.hit_rate outcome.cache)
-    outcome.stats.Scheduler.makespan outcome.config.concurrency outcome.config.jobs
-    (virtual_throughput outcome) x.peak x.risk_ticks x.at_risk_sessions x.violations
-    (Metrics.to_json outcome.metrics)
+  let t = tally outcome.sessions and x = exposure_tally outcome.sessions in
+  let c = outcome.cache and int = Json.int in
+  let cache =
+    [ ("hits", int (Cache.hits c)); ("misses", int (Cache.misses c));
+      ("bypasses", int (Cache.bypasses c)); ("evictions", int (Cache.evictions c));
+      ("hit_rate", Json.fixed 4 (Cache.hit_rate c)) ]
+  in
+  let exposure =
+    [ ("peak_at_risk", int x.peak); ("risk_ticks", int x.risk_ticks);
+      ("at_risk_sessions", int x.at_risk_sessions); ("violations", int x.violations) ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("sessions", int outcome.config.sessions); ("settled", int t.settled);
+         ("expired", int t.expired); ("aborted", int t.aborted);
+         ("retried", int outcome.stats.Scheduler.retried); ("cache", Json.Obj cache);
+         ("makespan_ticks", int outcome.stats.Scheduler.makespan);
+         ("concurrency", int outcome.config.concurrency); ("jobs", int outcome.config.jobs);
+         ("virtual_throughput", Json.fixed 2 (virtual_throughput outcome));
+         ("exposure", Json.Obj exposure); ("metrics", Metrics.to_json outcome.metrics) ])
 
 let wall_line outcome =
   let per_sec =

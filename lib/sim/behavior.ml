@@ -10,12 +10,6 @@ let party t = t.party
 let react t obs = t.react obs
 let make party react = { party; react }
 
-let pp_observation ppf = function
-  | Start -> Format.pp_print_string ppf "start"
-  | Incoming a -> Format.fprintf ppf "incoming %a" Action.pp a
-  | Expired deal -> Format.fprintf ppf "expired %s" deal
-  | Deadline -> Format.pp_print_string ppf "deadline"
-
 (* Shared script-runner: fire each step once its condition is met by any
    observed action so far, preserving script order. *)
 module Script = struct

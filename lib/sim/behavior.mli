@@ -81,5 +81,3 @@ val partial : Party.t -> Trust_core.Protocol.scripted_step list -> keep:int -> t
 (** An adversary that follows the script for its first [keep] own
     actions and then defects silently. [partial p s ~keep:0] acts like
     {!silent}; [keep] beyond the script length acts honestly. *)
-
-val pp_observation : Format.formatter -> observation -> unit

@@ -24,6 +24,11 @@ let defectable_principals spec =
     (fun p -> not (List.exists (Party.equal p) personas))
     (Spec.principals spec)
 
+let injected_defectors ~every ~index spec =
+  if every > 0 && (index + 1) mod every = 0 then
+    match defectable_principals spec with party :: _ -> [ (party, Silent) ] | [] -> []
+  else []
+
 let deposit_actions plan =
   match plan with
   | None -> []
@@ -216,7 +221,3 @@ let universal_run ?config ?(defectors = []) spec =
     List.map principal_behavior (Spec.principals uni) @ [ Behavior.coordinator uni star ]
   in
   (Engine.run ?config uni ~deposits:[] ~behaviors, uni)
-
-let pp_cast ppf cast =
-  Format.fprintf ppf "@[<v>cast over %d behaviours@,%a@]" (List.length cast.behaviors)
-    Protocol.pp cast.protocol

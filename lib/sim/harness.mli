@@ -131,4 +131,8 @@ val defectable_principals : Spec.t -> Party.t list
     trusting someone who defects is a misplaced-trust loss, not a
     protocol failure). *)
 
-val pp_cast : Format.formatter -> cast -> unit
+val injected_defectors : every:int -> index:int -> Spec.t -> (Party.t * defection) list
+(** The fault-injection rule the batch service and the daemon share:
+    every [every]-th session (0-based [index], so indexes [every - 1],
+    [2 * every - 1], …) has its first {!defectable_principals} go
+    [Silent]; nobody defects otherwise, or when [every <= 0]. *)

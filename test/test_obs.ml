@@ -284,6 +284,162 @@ let test_batch_spans_jobs_identical () =
   check_int "one placement span per session" 60 (count out "\"name\":\"serve.place\"");
   check "cache hit/miss never exported" false (contains out "cache_hit")
 
+(* -- the one JSON writer: every encoder renders through Json.to_string,
+   and Json.parse reads back exactly what was written -- *)
+
+module Json = Trust_obs.Json
+
+(* quotes, backslashes, newlines, control bytes, non-ASCII bytes *)
+let hostile = "q\"b\\s/\n\r\t\x00\x01\x1f\x7f\xc3\xa9 end"
+
+let gen_hostile_string =
+  let open QCheck2.Gen in
+  let special = oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '/' ] in
+  string_size ~gen:(oneof [ special; char_range '\000' '\031'; char ]) (0 -- 12)
+
+let gen_json =
+  let open QCheck2.Gen in
+  let leaf =
+    oneof
+      [
+        pure Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map Json.int int;
+        map (fun x -> Json.fixed 4 x) (float_range (-1e6) 1e6);
+        map (fun s -> Json.Str s) gen_hostile_string;
+      ]
+  in
+  sized_size (0 -- 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           oneof
+             [
+               leaf;
+               map (fun vs -> Json.Arr vs) (list_size (0 -- 4) (self (n - 1)));
+               map (fun kvs -> Json.Obj kvs)
+                 (list_size (0 -- 4) (pair gen_hostile_string (self (n - 1))));
+             ])
+
+let prop_writer_round_trip =
+  QCheck2.Test.make ~name:"Json.parse inverts Json.to_string" ~count:500 gen_json (fun v ->
+      Json.parse (Json.to_string v) = v)
+
+let test_writer_layout () =
+  check_string "compact, members in order, numbers verbatim"
+    {|{"a":[1,-2.50,null,true],"b\"":{"":"x\\y\u0001"}}|}
+    (Json.to_string
+       (Json.Obj
+          [
+            ("a", Json.Arr [ Json.int 1; Json.fixed 2 (-2.5); Json.Null; Json.Bool true ]);
+            ("b\"", Json.Obj [ ("", Json.Str "x\\y\001") ]);
+          ]))
+
+let test_diagnostic_hostile () =
+  let module D = Trust_analyze.Diagnostic in
+  let d =
+    D.make ~file:hostile ~loc:{ Trust_lang.Loc.line = 3; col = 7 } ~notes:[ hostile; "n" ]
+      (List.hd D.all_codes) hostile
+  in
+  let j = Json.parse (D.render_json [ d ]) in
+  (match Json.field j "diagnostics" with
+  | Json.Arr [ o ] ->
+    check_string "message" hostile (Json.as_str (Json.field o "message"));
+    check_string "file" hostile (Json.as_str (Json.field o "file"));
+    check "notes" true (Json.field o "notes" = Json.Arr [ Json.Str hostile; Json.Str "n" ])
+  | _ -> Alcotest.fail "expected one diagnostic");
+  let sarif = Json.parse (D.render_sarif [ d ]) in
+  match Json.field sarif "runs" with
+  | Json.Arr [ run ] -> (
+    match Json.field run "results" with
+    | Json.Arr [ r ] ->
+      check_string "sarif text" (hostile ^ "\n" ^ hostile ^ "\nn")
+        (Json.as_str (Json.field (Json.field r "message") "text"))
+    | _ -> Alcotest.fail "expected one result")
+  | _ -> Alcotest.fail "expected one run"
+
+let test_wire_hostile () =
+  let module Wire = Trust_daemon.Wire in
+  let req = Wire.Submit { id = 4; spec = hostile } in
+  check "submit round trip" true (Wire.decode_request (Wire.encode_request req) = Ok req);
+  List.iter
+    (fun resp ->
+      check "response round trip" true (Wire.decode_response (Wire.encode_response resp) = Ok resp))
+    [
+      Wire.Welcome { version = 1; server = hostile };
+      Wire.Text { id = 2; kind = hostile; text = hostile };
+      Wire.Refused { id = Some 3; reason = hostile };
+      Wire.Refused { id = None; reason = hostile };
+      Wire.Result
+        {
+          id = 1; status = hostile; exit_code = 2; cache_hit = true; ticks = 5; events = 6;
+          attempts = 1; exposure_peak = 7; exposure_ticks = 8; exposure_violations = 0;
+          reason = Some hostile;
+        };
+    ]
+
+let test_span_attr_hostile () =
+  let obs = Obs.create () in
+  Obs.with_span obs ~phase:hostile hostile (fun h ->
+      Obs.attr obs h hostile (Obs.Str hostile);
+      Obs.attr obs h "shape" (Obs.Str hostile);
+      Obs.event obs h hostile ~attrs:[ (hostile, Obs.Float 0.5) ]);
+  let lines = String.split_on_char '\n' (Obs.export ~producer:hostile Obs.Jsonl [ obs ]) in
+  (match List.map Json.parse (List.filter (( <> ) "") lines) with
+  | [ meta; span; event ] ->
+    check_string "producer" hostile (Json.as_str (Json.field meta "producer"));
+    check_string "phase" hostile (Json.as_str (Json.field span "phase"));
+    check_string "attr" hostile (Json.as_str (Json.field (Json.field span "attrs") hostile));
+    check "event attr" true (Json.field (Json.field event "attrs") hostile = Json.Num "0.500000")
+  | _ -> Alcotest.fail "expected meta, span and event lines");
+  (match Json.parse (Obs.export ~producer:hostile Obs.Chrome [ obs ]) with
+  | Json.Arr [ _; span; _ ] ->
+    check_string "chrome name" hostile (Json.as_str (Json.field span "name"));
+    check_string "chrome cat" hostile (Json.as_str (Json.field span "cat"))
+  | _ -> Alcotest.fail "expected three chrome entries");
+  let board = Json.parse (Trust_obs.Mine.json (Trust_obs.Mine.of_views (Obs.views obs))) in
+  match Json.field board "rows" with
+  | Json.Arr [ row ] ->
+    check_string "mined shape" hostile (Json.as_str (Json.field row "shape"));
+    check "mined phase" true (Json.field_opt (Json.field row "self_vt") hostile <> None)
+  | _ -> Alcotest.fail "expected one mined row"
+
+let test_metrics_hostile () =
+  let module Metrics = Trust_serve.Metrics in
+  let m = Metrics.create () in
+  Metrics.incr ~by:3 (Metrics.counter m hostile);
+  Metrics.gauge m (hostile ^ "g") 1.5;
+  let j = Json.parse (Json.to_string (Metrics.to_json m)) in
+  check "counter key" true (Json.field (Json.field j "counters") hostile = Json.int 3);
+  check "gauge key" true (Json.field (Json.field j "gauges") (hostile ^ "g") = Json.Num "1.500000")
+
+let test_report_encoders_parse () =
+  let outcome = Service.run { Service.default with Service.sessions = 20; seed = 5L } in
+  let j = Json.parse (Service.json outcome) in
+  check_int "service sessions" 20 (Json.as_int (Json.field j "sessions"));
+  check "service metrics object" true (Json.field_opt (Json.field j "metrics") "counters" <> None);
+  let stats =
+    Trust_daemon.Server.
+      {
+        served = 9; settled = 8; expired = 1; aborted = 0; busy = 0; protocol_errors = 2;
+        connections = 3; epochs = 0; aged_out = 0; cache_size = 4; drained = true;
+      }
+  in
+  let j = Json.parse (Json.to_string (Trust_daemon.Server.stats_json stats)) in
+  check "stats drained" true (Json.as_bool (Json.field j "drained"));
+  check_int "stats protocol errors" 2 (Json.as_int (Json.field j "protocol_errors"));
+  let report =
+    Trust_daemon.Loadgen.
+      {
+        sent = 1; settled = 1; expired = 0; aborted = 0; busy = 0; dropped = 0; refused = 0;
+        cache_hits = 0; wall = 0.1234; throughput = 8.1; p50_ms = 1.; p90_ms = 2.; p99_ms = 3.;
+        max_ms = 4.;
+      }
+  in
+  let j = Json.parse (Trust_daemon.Loadgen.json report) in
+  check "loadgen wall" true (Json.field j "wall_s" = Json.Num "0.123");
+  check "loadgen p99" true (Json.field (Json.field j "latency_ms") "p99" = Json.Num "3.000")
+
 let () =
   Alcotest.run "obs"
     [
@@ -303,6 +459,16 @@ let () =
           Alcotest.test_case "escaping" `Quick test_escaping;
         ] );
       ("profiler", [ Alcotest.test_case "reduce counters" `Quick test_reduce_profiler ]);
+      ( "json writer",
+        [
+          QCheck_alcotest.to_alcotest prop_writer_round_trip;
+          Alcotest.test_case "layout" `Quick test_writer_layout;
+          Alcotest.test_case "diagnostics" `Quick test_diagnostic_hostile;
+          Alcotest.test_case "wire" `Quick test_wire_hostile;
+          Alcotest.test_case "span attrs, chrome, mine" `Quick test_span_attr_hostile;
+          Alcotest.test_case "metrics" `Quick test_metrics_hostile;
+          Alcotest.test_case "report encoders" `Quick test_report_encoders_parse;
+        ] );
       ( "determinism",
         [
           Alcotest.test_case "tracing is passive (100 specs)" `Quick test_tracing_is_passive;
