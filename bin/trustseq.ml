@@ -1476,7 +1476,6 @@ let serve_cmd =
       exit 2);
     let config =
       {
-        Server.default with
         Server.unix_path = socket;
         tcp;
         policy =

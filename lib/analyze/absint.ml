@@ -301,14 +301,3 @@ let of_sequence ?index (seq : Execution.sequence) =
     List.map (interval_of index positions order honest reaches) (Spec.principals spec)
   in
   { spec; steps; intervals }
-
-let pp_interval ppf i =
-  Format.fprintf ppf "%s: bound=%a honest=%a worst=%a %s" (Party.name i.i_party)
-    Asset.pp_money i.i_bound Asset.pp_money i.i_lo Asset.pp_money i.i_hi
-    (if proved i then "proved" else "REFUTED")
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>static exposure (%d steps):@,%a@]"
-    (List.length t.steps)
-    (Format.pp_print_list pp_interval)
-    t.intervals

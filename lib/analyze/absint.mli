@@ -37,7 +37,7 @@ type witness = {
 
 type interval = {
   i_party : Party.t;
-  i_bound : Asset.money;  (** {!Trust_core.Compile.single_transfer_bound} *)
+  i_bound : Asset.money;  (** {!Trust_core.Spec_index.single_transfer_bound} *)
   i_lo : Asset.money;  (** honest-run peak exposure *)
   i_hi : Asset.money;  (** worst case over defectors and interleavings *)
   i_witness : witness;  (** a schedule attaining [i_hi] *)
@@ -58,10 +58,3 @@ val of_sequence : ?index:Trust_core.Spec_index.t -> Trust_core.Execution.sequenc
 val label : astep -> string
 (** The step's action and origin, rendered for a schedule note. Only
     the witness steps a diagnostic prints are ever rendered. *)
-
-val defectable : Spec.t -> Party.t list
-(** Principals that play no trusted role (mirror of
-    [Trust_sim.Harness.defectable_principals]). *)
-
-val pp_interval : Format.formatter -> interval -> unit
-val pp : Format.formatter -> t -> unit

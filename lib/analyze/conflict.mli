@@ -7,19 +7,6 @@
 
 open Exchange
 
-val double_spends :
-  deal_loc:(string -> Trust_lang.Loc.t option) -> Spec.t -> Diagnostic.t list
-(** TL013: a principal promises the same document into more deals than
-    it can supply copies of — one initial endowment, plus one per deal
-    that delivers it a copy. *)
-
-val over_pledged :
-  split_loc:(string -> Spec.commitment_ref -> Trust_lang.Loc.t option) ->
-  Spec.t ->
-  Diagnostic.t list
-(** TL014: an owner with two or more splits whose combined indemnity
-    pledges exceed the cost of its whole conjunction. *)
-
 val deadline_races :
   deal_loc:(string -> Trust_lang.Loc.t option) ->
   Trust_core.Execution.sequence ->
@@ -33,5 +20,12 @@ val structural :
   split_loc:(string -> Spec.commitment_ref -> Trust_lang.Loc.t option) ->
   Spec.t ->
   Diagnostic.t list
-(** The synthesis-free passes: {!double_spends} and {!over_pledged}.
+(** The synthesis-free passes, in this order:
+    - TL013 double spends: a principal promises the same document into
+      more deals than it can supply copies of — one initial endowment,
+      plus one per deal that delivers it a copy;
+    - TL014 over-pledged indemnities: an owner with two or more splits
+      whose combined indemnity pledges exceed the cost of its whole
+      conjunction.
+
     Runs even in quick mode (serve admission gate). *)

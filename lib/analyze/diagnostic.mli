@@ -48,10 +48,6 @@ type code =
 val code_id : code -> string
 (** The stable identifier, e.g. [Unused_party] → ["TL001"]. *)
 
-val code_name : code -> string
-(** Short kebab-case rule name, e.g. ["unused-party"]. *)
-
-val default_severity : code -> severity
 val all_codes : code list
 
 val help_uri : code -> string
@@ -75,12 +71,8 @@ val make :
   code ->
   string ->
   t
-(** [make code message]; [severity] defaults to {!default_severity}. *)
-
-val compare : t -> t -> int
-(** Deterministic report order: file, then location, then code, then
-    message. Diagnostics without a location sort after located ones of
-    the same file. *)
+(** [make code message]; [severity] defaults to the code's own
+    severity. *)
 
 val sort : t list -> t list
 
@@ -90,8 +82,6 @@ val gating : ?werror:bool -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** [file:line:col: severity[TL0xx]: message] with notes indented. *)
-
-val pp_severity : Format.formatter -> severity -> unit
 
 val render_human : t list -> string
 val render_json : t list -> string

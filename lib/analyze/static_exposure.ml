@@ -100,11 +100,3 @@ let diagnostics t =
            t.steps Asset.pp_money worst.Absint.i_hi)
     in
     bound_diags @ [ schedule ]
-
-let pp ppf t =
-  match t.verdict with
-  | Vacuous -> Format.fprintf ppf "static exposure: vacuous (no sequence)"
-  | _ ->
-    Format.fprintf ppf "@[<v>static exposure: %s@,%a@]" (verdict_label t.verdict)
-      (Format.pp_print_list Absint.pp_interval)
-      t.intervals

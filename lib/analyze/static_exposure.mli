@@ -38,4 +38,3 @@ val schedule_notes : Absint.witness -> string list
     [trustseq analyze]. *)
 
 val verdict_label : verdict -> string
-val pp : Format.formatter -> t -> unit

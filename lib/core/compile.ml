@@ -124,17 +124,6 @@ let send_transfer spec d side =
   in
   Action.{ source = principal; target; asset = Spec.commitment_sends d side }
 
-(* -- §5 valuation: the one definition the dynamic ledgers and the
-      static analysis price exposure by, read off a spec index -- *)
-
-let price_for spec = Spec_index.price (Spec_index.make spec)
-
-(* §5: a feasible sequence keeps at most one transfer of a party in
-   flight, so its worst honest position is its single largest outgoing
-   transfer. *)
-let single_transfer_bound ?price spec party =
-  Spec_index.single_transfer_bound ?price (Spec_index.make spec) party
-
 let compile ?index ~lockstep ~shared ?plan ~price spec protocol =
   if not (Party.Map.is_empty spec.Spec.overrides) then
     invalid_arg "Compile.compile: acceptability overrides are not compilable";

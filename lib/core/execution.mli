@@ -47,5 +47,4 @@ val all_parties_acceptable : sequence -> (Party.t * bool) list
     final state. A correct execution sequence yields [true] throughout —
     and indeed reaches every party's preferred outcome. *)
 
-val pp_step : Format.formatter -> step -> unit
 val pp : Format.formatter -> sequence -> unit

@@ -31,10 +31,6 @@ val splittable : Spec.t -> owner:Party.t -> bool
     the owner must be a principal demanding a bundle, with no red
     (broker-style) edge in its conjunction and at least two pieces. *)
 
-val linked_pieces : Spec.t -> owner:Party.t -> Spec.commitment_ref list
-(** The owner's own unsplit commitments — the "pieces" of its
-    conjunction that indemnities can cover. *)
-
 val offer_for : Spec.t -> owner:Party.t -> Spec.commitment_ref -> offer
 (** The §6 offer splitting one piece: deposited by the deal's other
     principal with the deal's intermediary, for
@@ -73,5 +69,4 @@ val rescued_run : Spec.t -> owner:Party.t -> (plan * Execution.sequence) option
     spec is still infeasible. The sequence covers only the §5 core; use
     {!deposits}/{!refunds} around it for the full protocol. *)
 
-val pp_offer : Format.formatter -> offer -> unit
 val pp_plan : Format.formatter -> plan -> unit

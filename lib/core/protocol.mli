@@ -42,9 +42,6 @@ val synthesize_lockstep : ?prologue:Action.t list -> Execution.sequence -> t
 val script_of : t -> Party.t -> scripted_step list
 (** Empty for parties with no actions. *)
 
-val equal_condition : condition -> condition -> bool
-val equal_step : scripted_step -> scripted_step -> bool
-
 val equal_roles : t -> t -> bool
 (** Same parties with the same scripts in the same order — the whole
     observable content of a protocol (the [spec] field is not compared).

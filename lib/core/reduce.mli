@@ -103,5 +103,4 @@ val applicable : Sequencing.t -> (rule * int * int) list
     first applicable rule in the order Rule2, Rule1, Rule1_persona. *)
 
 val pp_rule : Format.formatter -> rule -> unit
-val pp_deletion : Sequencing.t -> Format.formatter -> deletion -> unit
 val pp_outcome : Format.formatter -> outcome -> unit

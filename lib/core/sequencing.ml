@@ -22,7 +22,6 @@ type t = {
 
 let spec t = t.spec
 let commitments t = t.commitments
-let conjunctions t = t.conjunctions
 let commitment_count t = Array.length t.commitments
 let conjunction_count t = Array.length t.conjunctions
 let commitment t cid = t.commitments.(cid)
@@ -128,9 +127,6 @@ let remove_edge t ~cid ~jid =
     t.c_edges.(cid) <- List.filter (fun (j, _) -> j <> jid) t.c_edges.(cid);
     t.j_edges.(jid) <- List.filter (fun (c, _) -> c <> cid) t.j_edges.(jid);
     t.n_edges <- t.n_edges - 1
-
-let commitment_fringe t cid = List.length t.c_edges.(cid) <= 1
-let conjunction_fringe t jid = List.length t.j_edges.(jid) <= 1
 
 let red_sibling t ~cid ~jid =
   List.fold_left
@@ -290,17 +286,3 @@ let to_ascii t =
     List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "  %s\n" (label c.cid))) free
   end;
   Buffer.contents buf
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>sequencing graph: %d commitments, %d conjunctions, %d edges"
-    (commitment_count t) (conjunction_count t) t.n_edges;
-  Array.iter
-    (fun c ->
-      Format.fprintf ppf "@,  C%d [%s]:" c.cid (commitment_label c);
-      List.iter
-        (fun (jid, colour) ->
-          Format.fprintf ppf " --%a--> AND(%s)" pp_colour colour
-            (Party.name t.conjunctions.(jid).owner))
-        t.c_edges.(c.cid))
-    t.commitments;
-  Format.fprintf ppf "@]"

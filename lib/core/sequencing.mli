@@ -57,7 +57,6 @@ val copy : t -> t
 val spec : t -> Spec.t
 
 val commitments : t -> commitment array
-val conjunctions : t -> conjunction array
 val commitment_count : t -> int
 val conjunction_count : t -> int
 
@@ -77,11 +76,6 @@ val edge_colour : t -> cid:int -> jid:int -> colour option
 val edge_count : t -> int
 val remove_edge : t -> cid:int -> jid:int -> unit
 (** Used by {!Reduce}; removing an absent edge is a no-op. *)
-
-val commitment_fringe : t -> int -> bool
-(** At most one remaining edge (§4.2.1: "on the fringe"). *)
-
-val conjunction_fringe : t -> int -> bool
 
 val red_sibling : t -> cid:int -> jid:int -> int option
 (** A remaining red edge [(b, jid)] with [b <> cid], if any — the
@@ -110,5 +104,4 @@ val to_ascii : t -> string
     commitments that are already free of conjunctions. Rendering a
     reduced graph shows Figs. 5–6. *)
 
-val pp : Format.formatter -> t -> unit
 val pp_colour : Format.formatter -> colour -> unit

@@ -37,8 +37,8 @@ val price : t -> Party.t -> Asset.t -> Asset.money
 (** What an asset is worth to a party: money at face value; a document
     at what the party pays for it in the spec (its cost basis) or,
     failing that, what it is paid for it; [0] when the party never
-    trades it. This is the one valuation; {!Compile.price_for} is this
-    function over a fresh index. *)
+    trades it. This is the one valuation: the exposure ledgers, the
+    compiled runtime and the static analysis all price by it. *)
 
 val single_transfer_bound :
   ?price:(Party.t -> Asset.t -> Asset.money) -> t -> Party.t -> Asset.money

@@ -1,31 +1,14 @@
-type 'a t = {
-  bound : int;
-  q : 'a Queue.t;
-  mutable peak : int;
-  mutable admitted : int;
-  mutable refused : int;
-}
+type 'a t = { bound : int; q : 'a Queue.t }
 
 let create ?(bound = 64) () =
   if bound < 0 then invalid_arg "Admission.create: negative bound";
-  { bound; q = Queue.create (); peak = 0; admitted = 0; refused = 0 }
-
-let bound t = t.bound
+  { bound; q = Queue.create () }
 
 let try_push t x =
-  if Queue.length t.q >= t.bound then begin
-    t.refused <- t.refused + 1;
-    false
-  end
+  if Queue.length t.q >= t.bound then false
   else begin
     Queue.add x t.q;
-    t.admitted <- t.admitted + 1;
-    if Queue.length t.q > t.peak then t.peak <- Queue.length t.q;
     true
   end
 
 let pop t = Queue.take_opt t.q
-let depth t = Queue.length t.q
-let peak t = t.peak
-let admitted t = t.admitted
-let refused t = t.refused

@@ -14,17 +14,7 @@ val create : ?bound:int -> unit -> 'a t
     forcing the busy path in tests.
     @raise Invalid_argument on a negative bound. *)
 
-val bound : 'a t -> int
-
 val try_push : 'a t -> 'a -> bool
-(** False when the queue is at its bound (counted in {!refused}). *)
+(** False when the queue is at its bound. *)
 
 val pop : 'a t -> 'a option
-
-val depth : 'a t -> int
-
-val peak : 'a t -> int
-(** High-water mark of {!depth}. *)
-
-val admitted : 'a t -> int
-val refused : 'a t -> int

@@ -2,7 +2,6 @@ type t = {
   fd : Unix.file_descr;
   decoder : Frame.decoder;
   mutable inbox : string list;  (** decoded payloads not yet consumed *)
-  mutable server : string;
 }
 
 let parse_addr s =
@@ -100,11 +99,9 @@ let connect ?(timeout = 10.) addr =
     | () -> (
       (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout
        with Unix.Unix_error _ | Invalid_argument _ -> ());
-      let t = { fd; decoder = Frame.create (); inbox = []; server = "" } in
+      let t = { fd; decoder = Frame.create (); inbox = [] } in
       match request t (Wire.Hello { version = Wire.version }) with
-      | Ok (Wire.Welcome { server; _ }) ->
-        t.server <- server;
-        Ok t
+      | Ok (Wire.Welcome _) -> Ok t
       | Ok (Wire.Refused { reason; _ }) ->
         close t;
         Error ("handshake refused: " ^ reason)
@@ -114,5 +111,3 @@ let connect ?(timeout = 10.) addr =
       | Error e ->
         close t;
         Error ("handshake: " ^ e)))
-
-let server t = t.server

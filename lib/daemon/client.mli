@@ -12,9 +12,6 @@ val connect : ?timeout:float -> string -> (t, string) result
     (default 10s) bounds each receive. Errors are human-readable
     transport or protocol reasons. *)
 
-val server : t -> string
-(** The banner from the welcome. *)
-
 val request : t -> Wire.request -> (Wire.response, string) result
 (** Send one request and wait for its response frame. *)
 

@@ -65,7 +65,6 @@ let feed_string d s =
   end
 
 let buffered d = Buffer.length d.buf
-let mid_frame d = Buffer.length d.buf > 0
 let poisoned d = d.poisoned
 
 let write_frame fd payload =

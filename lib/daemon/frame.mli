@@ -40,10 +40,6 @@ val feed_string : decoder -> string -> event list
 val buffered : decoder -> int
 (** Bytes held waiting for a complete frame. *)
 
-val mid_frame : decoder -> bool
-(** True when a frame is partially received — a client that disconnects
-    here was cut off mid-request. *)
-
 val poisoned : decoder -> bool
 
 (** {1 Blocking writers} — for the client side and tests; the daemon

@@ -16,7 +16,6 @@ type config = {
   cache_capacity : int;
   scheduler : Scheduler.config;
   max_pending : int;
-  max_frame : int;
   epoch_every : int;
   max_idle_epochs : int;
   snapshot_path : string option;
@@ -38,7 +37,6 @@ let default =
     cache_capacity = 4096;
     scheduler = Scheduler.default_config;
     max_pending = 64;
-    max_frame = Frame.default_max;
     epoch_every = 256;
     max_idle_epochs = 2;
     snapshot_path = None;
@@ -401,7 +399,7 @@ let handle_event srv conn = function
   | Frame.Oversized announced ->
     protocol_error srv conn
       (Printf.sprintf "oversized frame: %d bytes announced (max %d)" announced
-         srv.cfg.max_frame)
+         Frame.default_max)
   | Frame.Frame payload -> (
     match Wire.decode_request payload with
     | Error e -> protocol_error srv conn e
@@ -459,7 +457,7 @@ let accept_all srv listener conns =
       conns :=
         {
           fd;
-          decoder = Frame.create ~max_frame:srv.cfg.max_frame ();
+          decoder = Frame.create ();
           greeted = false;
           out = Buffer.create 256;
           out_off = 0;

@@ -17,7 +17,7 @@
     A select round may deliver many pipelined requests at once; at most
     [max_pending] are queued for the processing pass and the rest are
     answered [busy] immediately. Nothing is ever buffered without
-    bound: input is capped by [max_frame], the work queue by
+    bound: input is capped by {!Frame.default_max}, the work queue by
     [max_pending], and output buffers drain through the same select
     loop.
 
@@ -47,7 +47,6 @@ type config = {
   cache_capacity : int;
   scheduler : Trust_serve.Scheduler.config;  (** per-request engine knobs *)
   max_pending : int;  (** admission bound; excess submissions get [busy] *)
-  max_frame : int;  (** wire frame bound, bytes *)
   epoch_every : int;  (** served requests per cache epoch tick *)
   max_idle_epochs : int;  (** sweep entries idle this many epochs *)
   snapshot_path : string option;  (** metrics exposition, atomically rewritten *)

@@ -80,6 +80,5 @@ module Pattern : sig
   (** The pattern matching exactly that action. *)
 
   val matches : t -> action -> bool
-  val party_matches : party_pat -> Party.t -> bool
   val pp : Format.formatter -> t -> unit
 end

@@ -10,7 +10,6 @@ let money amount =
 
 let dollars d = d * 100
 
-let is_money = function Money _ -> true | Document _ -> false
 let is_document = function Document _ -> true | Money _ -> false
 let amount = function Money m -> Some m | Document _ -> None
 let value = function Money m -> m | Document _ -> 0
@@ -33,8 +32,6 @@ let pp_money ppf m =
 let pp ppf = function
   | Document d -> Format.fprintf ppf "doc(%s)" d
   | Money m -> pp_money ppf m
-
-let to_string t = Format.asprintf "%a" pp t
 
 module Ord = struct
   type nonrec t = t
@@ -77,7 +74,6 @@ module Bag = struct
 
   let balance bag = bag.balance
   let documents bag = Docs.bindings bag.docs
-  let of_list assets = List.fold_left (fun bag a -> add a bag) empty assets
 
   let equal a b = a.balance = b.balance && Docs.equal Int.equal a.docs b.docs
 

@@ -18,7 +18,6 @@ val money : money -> t
 val dollars : int -> money
 (** [dollars 10] is [1000] cents. *)
 
-val is_money : t -> bool
 val is_document : t -> bool
 
 val amount : t -> money option
@@ -32,7 +31,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val pp_money : Format.formatter -> money -> unit
-val to_string : t -> string
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
@@ -54,7 +52,6 @@ module Bag : sig
   val holds : asset -> t -> bool
   val balance : t -> money
   val documents : t -> (string * int) list
-  val of_list : asset list -> t
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
 end

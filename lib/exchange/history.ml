@@ -95,13 +95,3 @@ let pp_violation ppf v =
   | Undo_before_do tr -> Format.fprintf ppf "undo before do: %a" tr_pp tr
   | Duplicate_do tr -> Format.fprintf ppf "duplicate do: %a" tr_pp tr
   | Duplicate_undo tr -> Format.fprintf ppf "duplicate undo: %a" tr_pp tr
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun (at, action) ->
-      match at with
-      | Some at -> Format.fprintf ppf "t=%-4d %a@," at Action.pp action
-      | None -> Format.fprintf ppf "       %a@," Action.pp action)
-    (entries t);
-  Format.fprintf ppf "@]"

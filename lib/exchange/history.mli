@@ -11,8 +11,6 @@
 type t
 (** An ordered history, oldest first. *)
 
-val empty : t
-val append : Action.t -> t -> t
 val of_actions : Action.t list -> t
 val of_deliveries : (int * Action.t) list -> t
 (** From timestamped deliveries (e.g. an {!Trust_sim.Engine.result} log,
@@ -55,4 +53,3 @@ val saga_for : Spec.t -> party:Party.t -> t -> bool
     ({!Outcomes.acceptable}). *)
 
 val pp_violation : Format.formatter -> violation -> unit
-val pp : Format.formatter -> t -> unit

@@ -1,7 +1,6 @@
 module Digraph = Trust_graph.Digraph
 
 type t = {
-  spec : Spec.t;
   graph : Digraph.t;
   to_node : int Party.Map.t;
   of_node : Party.t array;
@@ -22,9 +21,8 @@ let of_spec spec =
     Digraph.add_edge graph u v
   in
   List.iter add_commitment (Spec.commitments spec);
-  { spec; graph; to_node; of_node }
+  { graph; to_node; of_node }
 
-let spec t = t.spec
 let graph t = t.graph
 
 let node_of_party t party =
@@ -33,17 +31,6 @@ let node_of_party t party =
   | None -> raise Not_found
 
 let party_of_node t n = t.of_node.(n)
-
-let edge_of_commitment t cref =
-  match Spec.find_deal t.spec cref.Spec.deal with
-  | None -> raise Not_found
-  | Some d ->
-    let principal = Spec.commitment_principal d cref.Spec.side in
-    (node_of_party t principal, node_of_party t d.Spec.via)
-
-let degree t party = List.length (Spec.commitments_of t.spec party)
-
-let internal_nodes t = Spec.internal_parties t.spec
 
 let is_bipartite t =
   (* The §3 invariant is stronger than 2-colourability: every edge must
@@ -60,13 +47,3 @@ let to_dot t =
     [ ("label", Party.to_string party); ("shape", shape) ]
   in
   Trust_graph.Dot.render ~name:"interaction" ~undirected:true ~node_attrs t.graph
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>interaction graph: %d parties, %d edges"
-    (Digraph.node_count t.graph) (Digraph.edge_count t.graph);
-  Digraph.iter_edges
-    (fun u v ->
-      Format.fprintf ppf "@,  %a -- %a" Party.pp (party_of_node t u) Party.pp
-        (party_of_node t v))
-    t.graph;
-  Format.fprintf ppf "@]"

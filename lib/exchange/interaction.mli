@@ -9,7 +9,6 @@ type t
 
 val of_spec : Spec.t -> t
 
-val spec : t -> Spec.t
 val graph : t -> Trust_graph.Digraph.t
 (** The underlying graph. Edges are directed principal -> trusted for
     determinism but the interaction graph is conceptually undirected. *)
@@ -18,16 +17,6 @@ val node_of_party : t -> Party.t -> int
 (** @raise Not_found for parties outside the spec. *)
 
 val party_of_node : t -> int -> Party.t
-val edge_of_commitment : t -> Spec.commitment_ref -> int * int
-(** The (principal node, trusted node) pair of a commitment. *)
-
-val degree : t -> Party.t -> int
-(** Number of interaction edges incident to the party. *)
-
-val internal_nodes : t -> Party.t list
-(** Parties with degree two or more — these induce conjunction nodes in
-    the sequencing graph (§4.1). *)
-
 val is_bipartite : t -> bool
 (** Always [true] for graphs built by {!of_spec}; exposed so property
     tests can assert the §3 invariant. *)
@@ -35,5 +24,3 @@ val is_bipartite : t -> bool
 val to_dot : t -> string
 (** Graphviz rendering in the paper's style: principals as circles,
     trusted components as squares. *)
-
-val pp : Format.formatter -> t -> unit

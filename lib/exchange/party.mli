@@ -32,7 +32,6 @@ val role : t -> role option
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
-val pp_role : Format.formatter -> role -> unit
 val to_string : t -> string
 
 module Set : Set.S with type elt = t

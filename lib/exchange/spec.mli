@@ -172,7 +172,5 @@ val shape_hex : t -> string
 val validate : t -> (unit, string list) result
 
 val equal_ref : commitment_ref -> commitment_ref -> bool
-val pp_side : Format.formatter -> side -> unit
 val pp_ref : Format.formatter -> commitment_ref -> unit
-val pp_deal : Format.formatter -> deal -> unit
 val pp : Format.formatter -> t -> unit

@@ -33,11 +33,6 @@ let net_assets party state =
   in
   List.fold_left flow (Asset.Bag.empty, Asset.Bag.empty) (actions state)
 
-let pp ppf state =
-  Format.fprintf ppf "@[<hov 1>{%a}@]"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") Action.pp)
-    (actions state)
-
 type description = { requires : Action.Pattern.t list; permits : Action.Pattern.t list }
 
 let describes requires = { requires; permits = [] }

@@ -31,8 +31,6 @@ val net_assets : Party.t -> t -> Asset.Bag.t * Asset.Bag.t
     the recorded transfers (notifications carry nothing). An [Undo]
     counts as the reverse flow of its transfer. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {1 Acceptability} *)
 
 type description = {

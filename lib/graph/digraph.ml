@@ -1,34 +1,17 @@
 (* Adjacency lists are stored in *reverse* insertion order so that
    [add_edge] is a cons, not an append; every reader goes through
-   {!succ}/{!pred}, which reverse back to insertion order. Edge
-   membership is a hash table so dense-graph construction is O(E)
-   instead of the former O(E * deg) append-and-scan. *)
+   {!succ}, which reverses back to insertion order. Edge membership is
+   a hash table so dense-graph construction is O(E). *)
 type t = {
   mutable size : int;
   mutable succs : int list array;  (** reverse insertion order *)
-  mutable preds : int list array;  (** reverse insertion order *)
   edge_set : (int * int, unit) Hashtbl.t;
   mutable n_edges : int;
 }
 
 let create ?(initial_capacity = 16) () =
   let cap = max 1 initial_capacity in
-  {
-    size = 0;
-    succs = Array.make cap [];
-    preds = Array.make cap [];
-    edge_set = Hashtbl.create (4 * cap);
-    n_edges = 0;
-  }
-
-let copy g =
-  {
-    size = g.size;
-    succs = Array.copy g.succs;
-    preds = Array.copy g.preds;
-    edge_set = Hashtbl.copy g.edge_set;
-    n_edges = g.n_edges;
-  }
+  { size = 0; succs = Array.make cap []; edge_set = Hashtbl.create (4 * cap); n_edges = 0 }
 
 let ensure_capacity g n =
   let cap = Array.length g.succs in
@@ -37,11 +20,9 @@ let ensure_capacity g n =
       let rec grow c = if c >= n then c else grow (2 * c) in
       grow cap
     in
-    let succs' = Array.make cap' [] and preds' = Array.make cap' [] in
+    let succs' = Array.make cap' [] in
     Array.blit g.succs 0 succs' 0 g.size;
-    Array.blit g.preds 0 preds' 0 g.size;
-    g.succs <- succs';
-    g.preds <- preds'
+    g.succs <- succs'
   end
 
 let add_node g =
@@ -49,7 +30,6 @@ let add_node g =
   let id = g.size in
   g.size <- g.size + 1;
   g.succs.(id) <- [];
-  g.preds.(id) <- [];
   id
 
 let add_nodes g n =
@@ -62,24 +42,13 @@ let check_node g v =
   if not (mem_node g v) then
     invalid_arg (Printf.sprintf "Digraph: node %d not in graph of size %d" v g.size)
 
-let mem_edge g u v = mem_node g u && mem_node g v && Hashtbl.mem g.edge_set (u, v)
-
 let add_edge g u v =
   check_node g u;
   check_node g v;
   if not (Hashtbl.mem g.edge_set (u, v)) then begin
     Hashtbl.add g.edge_set (u, v) ();
     g.succs.(u) <- v :: g.succs.(u);
-    g.preds.(v) <- u :: g.preds.(v);
     g.n_edges <- g.n_edges + 1
-  end
-
-let remove_edge g u v =
-  if mem_edge g u v then begin
-    Hashtbl.remove g.edge_set (u, v);
-    g.succs.(u) <- List.filter (fun w -> w <> v) g.succs.(u);
-    g.preds.(v) <- List.filter (fun w -> w <> u) g.preds.(v);
-    g.n_edges <- g.n_edges - 1
   end
 
 let node_count g = g.size
@@ -89,30 +58,17 @@ let succ g v =
   check_node g v;
   List.rev g.succs.(v)
 
-let pred g v =
-  check_node g v;
-  List.rev g.preds.(v)
-
-let out_degree g v = List.length (succ g v)
-let in_degree g v = List.length (pred g v)
-let degree g v = out_degree g v + in_degree g v
-
 let nodes g = List.init g.size (fun i -> i)
-
-let fold_nodes f g acc =
-  let rec loop i acc = if i = g.size then acc else loop (i + 1) (f i acc) in
-  loop 0 acc
+let iter_nodes f g = List.iter f (nodes g)
 
 let fold_edges f g acc =
-  fold_nodes (fun u acc -> List.fold_left (fun acc v -> f u v acc) acc (succ g u)) g acc
+  List.fold_left (fun acc u -> List.fold_left (fun acc v -> f u v acc) acc (succ g u)) acc (nodes g)
 
-let edges g = List.rev (fold_edges (fun u v acc -> (u, v) :: acc) g [])
-let iter_nodes f g = List.iter f (nodes g)
 let iter_edges f g = fold_edges (fun u v () -> f u v) g ()
 
 let topological_sort g =
   let indeg = Array.make g.size 0 in
-  iter_nodes (fun v -> indeg.(v) <- in_degree g v) g;
+  iter_edges (fun _ v -> indeg.(v) <- indeg.(v) + 1) g;
   let queue = Queue.create () in
   iter_nodes (fun v -> if indeg.(v) = 0 then Queue.add v queue) g;
   let order = ref [] and seen = ref 0 in
@@ -127,138 +83,3 @@ let topological_sort g =
     List.iter lower (succ g u)
   done;
   if !seen = g.size then Some (List.rev !order) else None
-
-let has_cycle g = topological_sort g = None
-
-let reachable g start =
-  check_node g start;
-  let seen = Hashtbl.create 16 in
-  let rec visit v =
-    if not (Hashtbl.mem seen v) then begin
-      Hashtbl.add seen v ();
-      List.iter visit (succ g v)
-    end
-  in
-  visit start;
-  seen
-
-let is_reachable g u v =
-  check_node g v;
-  Hashtbl.mem (reachable g u) v
-
-(* Tarjan's algorithm, iterative to survive deep chain graphs. *)
-let scc g =
-  let n = g.size in
-  let index = Array.make n (-1)
-  and lowlink = Array.make n 0
-  and on_stack = Array.make n false in
-  let stack = ref [] and counter = ref 0 and components = ref [] in
-  let push v =
-    index.(v) <- !counter;
-    lowlink.(v) <- !counter;
-    incr counter;
-    stack := v :: !stack;
-    on_stack.(v) <- true
-  in
-  let pop_component root =
-    let rec pop acc =
-      match !stack with
-      | [] -> acc
-      | v :: rest ->
-        stack := rest;
-        on_stack.(v) <- false;
-        if v = root then v :: acc else pop (v :: acc)
-    in
-    components := pop [] :: !components
-  in
-  (* Explicit call stack: each frame is (node, remaining successors). *)
-  let rec run frames =
-    match frames with
-    | [] -> ()
-    | (v, []) :: rest ->
-      pop_if_root v;
-      (match rest with
-      | (p, ws) :: tail ->
-        lowlink.(p) <- min lowlink.(p) lowlink.(v);
-        run ((p, ws) :: tail)
-      | [] -> ())
-    | (v, w :: ws) :: rest ->
-      if index.(w) = -1 then begin
-        push w;
-        run ((w, succ g w) :: (v, ws) :: rest)
-      end
-      else begin
-        if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w);
-        run ((v, ws) :: rest)
-      end
-  and pop_if_root v = if lowlink.(v) = index.(v) then pop_component v in
-  iter_nodes
-    (fun v ->
-      if index.(v) = -1 then begin
-        push v;
-        run [ (v, succ g v) ]
-      end)
-    g;
-  !components
-
-let neighbours g v = succ g v @ pred g v
-
-let undirected_components g =
-  let seen = Array.make g.size false in
-  let component start =
-    let queue = Queue.create () and members = ref [] in
-    Queue.add start queue;
-    seen.(start) <- true;
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      members := u :: !members;
-      let visit v =
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          Queue.add v queue
-        end
-      in
-      List.iter visit (neighbours g u)
-    done;
-    List.rev !members
-  in
-  List.rev
-    (fold_nodes (fun v acc -> if seen.(v) then acc else component v :: acc) g [])
-
-let two_colouring g =
-  let colour = Array.make g.size (-1) in
-  let exception Odd_cycle in
-  let bfs start =
-    let queue = Queue.create () in
-    colour.(start) <- 0;
-    Queue.add start queue;
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      let visit v =
-        if colour.(v) = -1 then begin
-          colour.(v) <- 1 - colour.(u);
-          Queue.add v queue
-        end
-        else if colour.(v) = colour.(u) then raise Odd_cycle
-      in
-      List.iter visit (neighbours g u)
-    done
-  in
-  match iter_nodes (fun v -> if colour.(v) = -1 then bfs v) g with
-  | () -> Some (fun v -> colour.(v))
-  | exception Odd_cycle -> None
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>digraph with %d nodes, %d edges" g.size g.n_edges;
-  iter_nodes
-    (fun v ->
-      match succ g v with
-      | [] -> ()
-      | vs ->
-        Format.fprintf ppf "@,%d -> %a" v
-          (Format.pp_print_list
-             ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-             Format.pp_print_int)
-          vs)
-    g;
-  Format.fprintf ppf "@]"

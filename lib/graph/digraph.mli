@@ -2,9 +2,9 @@
 
     Nodes are dense non-negative integers allocated by {!add_node}. Edges
     are unlabelled ordered pairs; parallel edges are collapsed. The
-    structure is deliberately small and imperative: the sequencing-graph
-    reducer removes edges destructively while walking a worklist, and the
-    workload generators build graphs with hundreds of thousands of edges. *)
+    structure is deliberately small and imperative: the execution
+    orderer, the trust-web router and the interaction graph build one,
+    walk it, and drop it. *)
 
 type t
 
@@ -12,9 +12,6 @@ type t
 
 val create : ?initial_capacity:int -> unit -> t
 (** [create ()] is an empty graph. *)
-
-val copy : t -> t
-(** [copy g] is an independent deep copy of [g]. *)
 
 val add_node : t -> int
 (** [add_node g] allocates a fresh node and returns its identifier.
@@ -27,33 +24,14 @@ val add_edge : t -> int -> int -> unit
 (** [add_edge g u v] adds edge [u -> v]. Adding an existing edge is a
     no-op. @raise Invalid_argument if [u] or [v] is not a node of [g]. *)
 
-val remove_edge : t -> int -> int -> unit
-(** [remove_edge g u v] removes edge [u -> v] if present. *)
-
 (** {1 Queries} *)
 
 val node_count : t -> int
 val edge_count : t -> int
 
-val mem_node : t -> int -> bool
-val mem_edge : t -> int -> int -> bool
-
 val succ : t -> int -> int list
 (** Successors of a node, in insertion order. *)
 
-val pred : t -> int -> int list
-(** Predecessors of a node, in insertion order. *)
-
-val out_degree : t -> int -> int
-val in_degree : t -> int -> int
-
-val degree : t -> int -> int
-(** Total degree, counting each incident edge once per direction. *)
-
-val nodes : t -> int list
-val edges : t -> (int * int) list
-
-val fold_nodes : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val fold_edges : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val iter_nodes : (int -> unit) -> t -> unit
 val iter_edges : (int -> int -> unit) -> t -> unit
@@ -62,24 +40,3 @@ val iter_edges : (int -> int -> unit) -> t -> unit
 
 val topological_sort : t -> int list option
 (** Kahn's algorithm. [None] when the graph has a directed cycle. *)
-
-val has_cycle : t -> bool
-
-val reachable : t -> int -> (int, unit) Hashtbl.t
-(** Set of nodes reachable from the given node (inclusive), as a table. *)
-
-val is_reachable : t -> int -> int -> bool
-
-val scc : t -> int list list
-(** Tarjan's strongly connected components, in reverse topological
-    order of the condensation. *)
-
-val undirected_components : t -> int list list
-(** Connected components, ignoring edge direction. *)
-
-val two_colouring : t -> (int -> int) option
-(** Bipartite 2-colouring of the undirected view. [Some colour] maps each
-    node to [0] or [1] such that adjacent nodes differ; [None] if an
-    odd undirected cycle exists. Isolated nodes are coloured [0]. *)
-
-val pp : Format.formatter -> t -> unit

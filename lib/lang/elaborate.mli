@@ -47,7 +47,5 @@ val from_file :
 (** Like {!from_string} with [?file] set to [path], so errors carry the
     file name. *)
 
-val pp_error : ?file:string -> Format.formatter -> error -> unit
-
 val sort_errors : error list -> error list
 (** Stable sort by location, then message. *)

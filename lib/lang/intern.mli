@@ -4,16 +4,11 @@
     repeated elaborations of equal source return physically equal
     values, letting the [==] fast paths in [Party.compare],
     [Asset.compare] and [Action.compare] short-circuit. Tables are
-    process-global, thread-safe, and bounded ([capacity] entries); past
+    process-global, thread-safe, and bounded (65 536 entries); past
     the bound values are returned un-interned — interning is a sharing
     hint, never a correctness requirement. *)
 
 open Exchange
-
-val capacity : int
-
-val party : Party.t -> Party.t
-val asset : Asset.t -> Asset.t
 
 val consumer : string -> Party.t
 val producer : string -> Party.t

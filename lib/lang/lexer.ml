@@ -1,7 +1,5 @@
 type error = { message : string; loc : Loc.t }
 
-let pp_error ppf e = Format.fprintf ppf "%a: %s" Loc.pp e.loc e.message
-
 type cursor = { src : string; mutable pos : int; mutable loc : Loc.t }
 
 let peek cur = if cur.pos < String.length cur.src then Some cur.src.[cur.pos] else None

@@ -9,5 +9,3 @@ type error = { message : string; loc : Loc.t }
 
 val tokenize : string -> (Token.t Loc.located list, error) result
 (** The token stream always ends with {!Token.Eof}. *)
-
-val pp_error : Format.formatter -> error -> unit

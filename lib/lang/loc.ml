@@ -9,8 +9,6 @@ let advance pos = function
 let compare a b =
   match Int.compare a.line b.line with 0 -> Int.compare a.col b.col | c -> c
 
-let pp ppf pos = Format.fprintf ppf "line %d, column %d" pos.line pos.col
-
 let pp_located ?file ppf pos =
   match file with
   | Some file -> Format.fprintf ppf "%s:%d:%d" file pos.line pos.col

@@ -7,7 +7,6 @@
 open Exchange
 
 val to_string : Spec.t -> string
-val pp : Format.formatter -> Spec.t -> unit
 
 val web_to_string : Elaborate.web -> string
 (** Render a web program; [Elaborate.web_from_string] round-trips it. *)

@@ -75,8 +75,6 @@ let create ?(shards = 1) ~capacity () =
 
 let my_shard t = t.shards.(Domain.DLS.get t.slot mod Array.length t.shards)
 
-let shard_count t = Array.length t.shards
-let capacity t = Array.fold_left (fun acc s -> acc + s.cap) 0 t.shards
 let records_written t = Array.fold_left (fun acc s -> acc + s.written) 0 t.shards
 let records_dropped t = Array.fold_left (fun acc s -> acc + s.dropped) 0 t.shards
 let bytes_resident t = Array.fold_left (fun acc s -> acc + (s.total - s.first)) 0 t.shards

@@ -50,10 +50,6 @@ val record : t -> keep:keep -> Obs.t -> int
 
 (** {2 Introspection (read after writers are quiescent)} *)
 
-val shard_count : t -> int
-val capacity : t -> int
-(** Total preallocated bytes across shards. *)
-
 val bytes_resident : t -> int
 (** Live (un-evicted, un-drained) bytes across shards — the
     [obs_ring_bytes] gauge. *)
@@ -105,10 +101,6 @@ val decode : string -> (session list * stats, string) result
     [begin] record was evicted on wrap are skipped whole; any torn or
     unparseable byte sequence is an [Error] (the writer never produces
     one). *)
-
-val to_trace : session -> Obs.t
-(** Rebuild a live trace via {!Obs.of_views} — input for the analysis
-    layer or the exporters. *)
 
 val export : ?producer:string -> Obs.format -> session list -> string
 (** Render decoded sessions through the unchanged exporters —

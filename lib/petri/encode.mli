@@ -24,7 +24,6 @@ type t = {
       (** (cid, jid) -> (on, off) *)
 }
 
-val of_sequencing : Trust_core.Sequencing.t -> t
 val of_spec : Spec.t -> t
 
 val feasible :

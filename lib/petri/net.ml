@@ -90,24 +90,10 @@ module Marking = struct
 
   let tokens m p = m.(p)
 
-  let set m p n =
-    let m' = Array.copy m in
-    m'.(p) <- n;
-    m'
-
   let equal (a : t) b = a = b
-  let compare = Stdlib.compare
   let hash (m : t) = Hashtbl.hash m
   let covers m target = Array.for_all2 (fun have need -> have >= need) m target
   let to_array m = Array.copy m
-  let of_array m = Array.copy m
-
-  let pp net ppf m =
-    Format.fprintf ppf "@[<h>{";
-    Array.iteri
-      (fun p n -> if n > 0 then Format.fprintf ppf " %s:%d" (place_name net p) n)
-      m;
-    Format.fprintf ppf " }@]"
 end
 
 let enabled t (m : Marking.t) id =
@@ -127,17 +113,3 @@ let enabled_transitions t m =
     if id < 0 then acc else scan (id - 1) (if enabled t m id then id :: acc else acc)
   in
   scan (t.n_transitions - 1) []
-
-let pp_arcs t ppf arcs =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "+")
-    (fun ppf (p, w) -> Format.fprintf ppf "%d'%s" w (place_name t p))
-    ppf arcs
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>petri net: %d places, %d transitions" t.n_places t.n_transitions;
-  for id = 0 to t.n_transitions - 1 do
-    let tr = t.transitions.(id) in
-    Format.fprintf ppf "@,  %s: %a -> %a" tr.t_name (pp_arcs t) tr.t_pre (pp_arcs t) tr.t_post
-  done;
-  Format.fprintf ppf "@]"

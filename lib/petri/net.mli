@@ -33,9 +33,7 @@ module Marking : sig
 
   val initial : net -> (place * int) list -> t
   val tokens : t -> place -> int
-  val set : t -> place -> int -> t
   val equal : t -> t -> bool
-  val compare : t -> t -> int
   val hash : t -> int
   val covers : t -> t -> bool
   (** [covers m target]: [m] has at least the target's tokens everywhere. *)
@@ -43,10 +41,6 @@ module Marking : sig
   val to_array : t -> int array
   (** Token counts indexed by place; a fresh copy. Used by analyses that
       manipulate markings arithmetically (Karp–Miller ω-abstraction). *)
-
-  val of_array : int array -> t
-
-  val pp : net -> Format.formatter -> t -> unit
 end
 
 val enabled : t -> Marking.t -> transition -> bool
@@ -54,4 +48,3 @@ val fire : t -> Marking.t -> transition -> Marking.t
 (** @raise Invalid_argument when not enabled. *)
 
 val enabled_transitions : t -> Marking.t -> transition list
-val pp : Format.formatter -> t -> unit

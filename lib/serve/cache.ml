@@ -57,7 +57,6 @@ type t = {
       (* shape hashes refused at admission (the trace-mining feedback
          policy); an immutable set swapped atomically so the per-session
          read never takes a lock *)
-  denied_hits : int Atomic.t;
 }
 
 let default_shards = 16
@@ -85,7 +84,6 @@ let create ?(capacity = 4096) ?(shards = default_shards) policy =
     bypasses = Atomic.make 0;
     epoch = Atomic.make 0;
     denied_set = Atomic.make Denied.empty;
-    denied_hits = Atomic.make 0;
   }
 
 let policy t = t.policy
@@ -193,7 +191,7 @@ let verify t spec cached =
    lock). The order queue may hold residue of aged-out keys — popped
    freely — while pinned victims rotate to the back; [budget] bounds
    the rotation so an all-pinned shard terminates (and simply runs
-   over capacity until something is unpinned). *)
+   over capacity). *)
 let evict_oldest shard =
   let rec go budget =
     if budget > 0 then
@@ -257,7 +255,7 @@ let shard_of_hex t hex =
     Some t.shards.(Int64.to_int h land max_int mod Array.length t.shards)
   | Some _ | None -> None
 
-let set_pinned t hex value =
+let pin t hex =
   match shard_of_hex t hex with
   | None -> false
   | Some shard ->
@@ -265,26 +263,13 @@ let set_pinned t hex value =
     let changed = ref false in
     Hashtbl.iter
       (fun key c ->
-        if c.pinned <> value && String.equal (hex_of_key key) hex then begin
-          c.pinned <- value;
+        if (not c.pinned) && String.equal (hex_of_key key) hex then begin
+          c.pinned <- true;
           changed := true
         end)
       shard.table;
     Mutex.unlock shard.lock;
     !changed
-
-let pin t hex = set_pinned t hex true
-let unpin t hex = set_pinned t hex false
-
-let pinned t =
-  let acc = ref [] in
-  Array.iter
-    (fun shard ->
-      Mutex.lock shard.lock;
-      Hashtbl.iter (fun key c -> if c.pinned then acc := hex_of_key key :: !acc) shard.table;
-      Mutex.unlock shard.lock)
-    t.shards;
-  List.sort_uniq compare !acc
 
 let pinned_count t =
   Array.fold_left
@@ -324,12 +309,10 @@ let denied_reason t spec =
   if Denied.is_empty d then None
   else
     let hex = Shape.hash_hex spec in
-    if Denied.mem hex d then begin
-      ignore (Atomic.fetch_and_add t.denied_hits 1);
+    if Denied.mem hex d then
       Some
         (Printf.sprintf "denied: [%s] shape %s deny-listed by trace mining (exposure violations observed)"
            deny_code hex)
-    end
     else None
 
 let rec deny t hex =
@@ -344,7 +327,6 @@ let rec allow t hex =
   else false
 
 let denied t = Denied.elements (Atomic.get t.denied_set)
-let denied_count t = Atomic.get t.denied_hits
 
 (* Admission lint is a pure function of the spec, so the serve path
    memoizes the shallow verdict by shape. Returns [None] when the spec

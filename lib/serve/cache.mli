@@ -99,18 +99,12 @@ val aged_out : t -> int
     operations are keyed by the canonical FNV shape hash in lowercase
     hex ({!Shape.hash_hex}) — the identifier traces carry — rather
     than by spec. Pinned entries are exempt from FIFO eviction and
-    epoch aging until unpinned; denied shapes are refused at admission
+    epoch aging for the cache's lifetime; denied shapes are refused at admission
     with the [TM001] diagnostic. *)
 
 val pin : t -> string -> bool
 (** Pin the resident entry whose shape hash matches; [false] when no
     such entry is resident (pre-warm it instead). *)
-
-val unpin : t -> string -> bool
-(** Release a pin; [false] when nothing matched. *)
-
-val pinned : t -> string list
-(** Shape hashes of pinned residents, sorted. *)
 
 val pinned_count : t -> int
 
@@ -122,9 +116,6 @@ val prewarm : t -> Spec.t -> [ `Hit | `Warmed | `Failed of string | `Uncacheable
     [`Failed] — synthesis failed (the negative verdict is cached and
     pinned too); [`Uncacheable] — the spec bypasses the cache. *)
 
-val deny_code : string
-(** ["TM001"] — the diagnostic code of the deny refusal. *)
-
 val deny : t -> string -> unit
 (** Refuse this shape hash at every subsequent admission. *)
 
@@ -133,9 +124,6 @@ val allow : t -> string -> bool
 
 val denied : t -> string list
 (** Currently denied shape hashes, sorted. *)
-
-val denied_count : t -> int
-(** Admissions refused by the deny list so far. *)
 
 val denied_reason : t -> Spec.t -> string option
 (** [Some "denied: [TM001] …"] when the spec's shape is deny-listed

@@ -146,8 +146,6 @@ let to_text t =
     (sorted t);
   Buffer.contents buf
 
-let dump = to_text
-
 let to_json t =
   let metrics = sorted t in
   let pick f = Json.Obj (List.filter_map f metrics) in

@@ -56,10 +56,6 @@ val to_text : t -> string
     are omitted. test/test_metrics.ml checks this contract with a small
     exposition parser. *)
 
-val dump : t -> string
-(** Alias for {!to_text} — the conventional name for a scrape-style
-    dump. *)
-
 val to_json : t -> Trust_obs.Json.t
 (** The same snapshot as one JSON object:
     [{"counters":{…},"gauges":{…},"histograms":{…}}], keys sorted.

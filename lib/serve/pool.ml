@@ -30,8 +30,6 @@ type t = {
   mutable domains : unit Domain.t array;
 }
 
-let size t = t.size
-
 let worker t () =
   let rec next () =
     Mutex.lock t.lock;
@@ -125,14 +123,3 @@ let shutdown t =
   match Atomic.get t.failure with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
-
-let run_all ?queue_capacity ~jobs f items =
-  let pool = create ?queue_capacity ~jobs () in
-  let submitted =
-    try
-      List.iter (fun item -> submit pool (fun () -> f item)) items;
-      None
-    with e -> Some e
-  in
-  shutdown pool;
-  match submitted with Some e -> raise e | None -> ()

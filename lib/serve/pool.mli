@@ -28,8 +28,6 @@ val create : ?queue_capacity:int -> jobs:int -> unit -> t
 (** Spawn [jobs] worker domains ([>= 1]). [queue_capacity] (default
     256) bounds the backlog {!submit} may build. *)
 
-val size : t -> int
-
 val submit : t -> (unit -> unit) -> unit
 (** Enqueue a job; blocks while the queue is at capacity.
     @raise Invalid_argument after {!shutdown}. *)
@@ -41,7 +39,3 @@ val shutdown : t -> unit
     re-raise the first exception any job raised (submission order is
     not guaranteed for the {e choice} of exception; there is at most
     one per shutdown). Idempotent only in effect — call it once. *)
-
-val run_all : ?queue_capacity:int -> jobs:int -> ('a -> unit) -> 'a list -> unit
-(** [run_all ~jobs f items] = create, submit [f item] for each item in
-    order, shutdown. Convenience for one-shot batches. *)

@@ -10,7 +10,6 @@ type config = {
   concurrency : int;
   jobs : int;
   mode : Harness.mode;
-  shared : bool;
   rescue : bool;
   verify_cache : bool;
   cache_capacity : int;
@@ -34,7 +33,6 @@ let default =
     concurrency = 8;
     jobs = 1;
     mode = Harness.Lockstep;
-    shared = false;
     rescue = true;
     verify_cache = false;
     cache_capacity = 4096;
@@ -90,7 +88,7 @@ let run (config : config) =
     Cache.create ~capacity:config.cache_capacity
       {
         Cache.mode = config.mode;
-        shared = config.shared;
+        shared = false;
         rescue = config.rescue;
         verify = config.verify_cache;
       }

@@ -15,7 +15,6 @@ type config = {
   concurrency : int;
   jobs : int;  (** worker domains for the scheduler, >= 1 *)
   mode : Trust_sim.Harness.mode;
-  shared : bool;
   rescue : bool;
   verify_cache : bool;
   cache_capacity : int;

@@ -51,11 +51,6 @@ let status_label = function
   | Aborted _ -> "aborted"
   | Expired -> "expired"
 
-let is_terminal = function
-  | Settled | Aborted _ -> true
-  | Expired -> true
-  | Queued | Synthesizing | Running -> false
-
 let legal from into =
   match (from, into) with
   | Queued, Synthesizing -> true
@@ -70,9 +65,3 @@ let transition t into =
       (Printf.sprintf "Session.transition: session %d cannot go %s -> %s" t.id
          (status_label t.status) (status_label into));
   t.status <- into
-
-let pp ppf t =
-  Format.fprintf ppf "session %d: %s (attempts %d, %s, %d ticks, %d events)" t.id
-    (status_label t.status) t.attempts
-    (if t.cache_hit then "cache hit" else "cache miss")
-    t.ticks t.events

@@ -48,8 +48,5 @@ val make : id:int -> ?defectors:(Party.t * Trust_sim.Harness.defection) list -> 
 val transition : t -> status -> unit
 (** @raise Invalid_argument on a transition the lifecycle does not allow. *)
 
-val is_terminal : status -> bool
 val status_label : status -> string
 (** ["queued" | "synthesizing" | "running" | "settled" | "aborted" | "expired"]. *)
-
-val pp : Format.formatter -> t -> unit

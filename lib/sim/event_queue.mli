@@ -5,12 +5,9 @@
 type 'a t
 
 val create : unit -> 'a t
-val is_empty : 'a t -> bool
 val length : 'a t -> int
 
 val push : 'a t -> time:int -> 'a -> unit
 
 val pop : 'a t -> (int * 'a) option
 (** Earliest event, insertion order within equal times. *)
-
-val peek_time : 'a t -> int option

@@ -31,14 +31,6 @@ type violation_kind =
 
 type violation = { v_party : Party.t; v_at : int; v_kind : violation_kind }
 
-type deal_summary = {
-  d_party : Party.t;
-  d_deal : string;
-  d_peak : Asset.money;
-  d_first : int;
-  d_last : int;
-}
-
 type party_ledger = {
   party : Party.t;
   bound : Asset.money;
@@ -60,12 +52,9 @@ type agent_ledger = {
 type t = {
   parties : party_ledger list;
   agents : agent_ledger list;
-  deals : deal_summary list;
   violations : violation list;
   duration : int;
 }
-
-let single_transfer_bound spec party = Trust_core.Compile.single_transfer_bound spec party
 
 (* -- mutable fold state -- *)
 
@@ -78,7 +67,6 @@ type entry = {
   e_contrib : Party.t option;  (* None: unattributed custody *)
   mutable e_value : Asset.money;  (* remaining value (money splits) *)
   e_cls : cls;
-  e_deal : string option;
 }
 
 type astate = {
@@ -88,14 +76,6 @@ type astate = {
   mutable a_custody : Asset.money;
   mutable a_peak : Asset.money;
   mutable a_samples : (int * Asset.money) list;  (* reversed *)
-}
-
-type dstate = {
-  mutable d_out : Asset.money;  (* outstanding outgoing value *)
-  mutable d_recv : Asset.money;
-  mutable ds_peak : Asset.money;
-  mutable ds_first : int;
-  mutable ds_last : int;
 }
 
 type pstate = {
@@ -116,7 +96,6 @@ type pstate = {
   mutable p_prev_risk : Asset.money;
   mutable p_risk_since : int;  (* first tick of the current risk window, -1 if none *)
   mutable p_bound_flagged : bool;
-  p_deals : (string, dstate) Hashtbl.t;
 }
 
 let at_risk_of p = max 0 (p.p_released - p.p_received)
@@ -147,7 +126,6 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
             p_prev_risk = 0;
             p_risk_since = -1;
             p_bound_flagged = false;
-            p_deals = Hashtbl.create 4;
           } ))
       principals
   in
@@ -175,80 +153,42 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
       | Some p ->
         List.map
           (fun (o : Indemnity.offer) ->
-            (Action.Do
-               {
-                 Action.source = o.Indemnity.offered_by;
-                 target = o.Indemnity.via;
-                 asset = Asset.money o.Indemnity.amount;
-               },
-              o.Indemnity.piece.Spec.deal))
+            Action.Do
+              {
+                Action.source = o.Indemnity.offered_by;
+                target = o.Indemnity.via;
+                asset = Asset.money o.Indemnity.amount;
+              })
           p.Indemnity.offers)
   in
   let take_deposit action =
     let rec go acc = function
-      | [] -> None
-      | (a, deal) :: rest when Action.equal a action ->
+      | [] -> false
+      | a :: rest when Action.equal a action ->
         pending_deposits := List.rev_append acc rest;
-        Some deal
+        true
       | x :: rest -> go (x :: acc) rest
     in
     go [] !pending_deposits
   in
-  (* deal attribution of a party's own transfer *)
-  let deal_of flow party asset =
-    List.find_map
-      (fun ((cref : Spec.commitment_ref), d) ->
-        if Asset.equal (flow d cref.Spec.side) asset then Some d.Spec.id else None)
-      (Spec_index.own_commitments index party)
-  in
-  let deal_of_send = deal_of Spec.commitment_sends in
-  let deal_of_receive = deal_of Spec.commitment_expects in
-  let dstate p deal =
-    match Hashtbl.find_opt p.p_deals deal with
-    | Some d -> d
-    | None ->
-      let d = { d_out = 0; d_recv = 0; ds_peak = 0; ds_first = -1; ds_last = -1 } in
-      Hashtbl.replace p.p_deals deal d;
-      d
-  in
-  let deal_out p deal v =
-    match deal with
-    | None -> ()
-    | Some id ->
-      let d = dstate p id in
-      d.d_out <- d.d_out + v
-  in
-  let deal_recv p deal v =
-    match deal with
-    | None -> ()
-    | Some id ->
-      let d = dstate p id in
-      d.d_recv <- d.d_recv + v
-  in
   (* contributor position changes, routed by classification *)
-  let contribute p cls deal v is_doc =
+  let contribute p cls v is_doc =
     (match cls with
     | Protected -> p.p_escrow <- p.p_escrow + v
     | Exposed -> p.p_released <- p.p_released + v
     | Deposit -> p.p_deposits <- p.p_deposits + v);
-    if is_doc then p.p_goods_out <- p.p_goods_out + 1;
-    deal_out p deal v
+    if is_doc then p.p_goods_out <- p.p_goods_out + 1
   in
-  let uncontribute p cls deal v is_doc =
+  let uncontribute p cls v is_doc =
     (match cls with
     | Protected -> p.p_escrow <- p.p_escrow - v
     | Exposed -> p.p_released <- p.p_released - v
     | Deposit -> p.p_deposits <- p.p_deposits - v);
-    if is_doc then p.p_goods_out <- p.p_goods_out - 1;
-    (match deal with
-    | None -> ()
-    | Some id ->
-      let d = dstate p id in
-      d.d_out <- d.d_out - v)
+    if is_doc then p.p_goods_out <- p.p_goods_out - 1
   in
   (* escrow (or deposit) settles away from the contributor: the value
      is now in another principal's hands, i.e. at risk until covered *)
-  let release p cls deal v =
+  let release p cls v =
     match cls with
     | Protected ->
       p.p_escrow <- p.p_escrow - v;
@@ -256,7 +196,7 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
     | Deposit ->
       p.p_deposits <- p.p_deposits - v;
       p.p_released <- p.p_released + v
-    | Exposed -> ignore deal
+    | Exposed -> ()
   in
   (* Is [holder] the custody holder this transfer is addressed to?
      (Spec_index.custody_holder: genuine trusted parties always hold in
@@ -329,8 +269,7 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
             let used = need in
             e.e_value <- e.e_value - used;
             ( List.rev
-                (( { e_contrib = e.e_contrib; e_value = used; e_cls = e.e_cls; e_deal = e.e_deal },
-                   used )
+                (({ e_contrib = e.e_contrib; e_value = used; e_cls = e.e_cls }, used)
                 :: taken),
               0,
               e :: rest )
@@ -382,7 +321,7 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
       let asset = tr.Action.asset in
       let is_doc = Asset.is_document asset in
       let is_undo = match action with Action.Undo _ -> true | _ -> false in
-      let deposit_deal = if is_undo then None else take_deposit action in
+      let deposit = (not is_undo) && take_deposit action in
       (* provenance: custody consumed from the sender, plus the
          sender's own contribution for the uncovered remainder *)
       let prefer = if is_undo then Some tgt else None in
@@ -402,11 +341,11 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
       let sends_own = (is_doc && consumed = []) || own_value > 0 in
       let receiving_custody =
         (not is_undo)
-        && (deposit_deal <> None || custody_holder_for ~src ~src_had_custody tgt asset)
+        && (deposit || custody_holder_for ~src ~src_had_custody tgt asset)
       in
       if receiving_custody then begin
         let to_cls =
-          if deposit_deal <> None then Deposit
+          if deposit then Deposit
           else if Party.is_trusted tgt then Protected
           else Exposed
         in
@@ -416,14 +355,11 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
           if sends_own then
             match pstate src with
             | Some p ->
-              let deal =
-                match deposit_deal with Some d -> Some d | None -> deal_of_send src asset
-              in
-              contribute p to_cls deal own_value is_doc;
-              [ { e_contrib = Some src; e_value = own_value; e_cls = to_cls; e_deal = deal } ]
+              contribute p to_cls own_value is_doc;
+              [ { e_contrib = Some src; e_value = own_value; e_cls = to_cls } ]
             | None ->
               (* a trusted sender with no ledgered custody: unattributed *)
-              [ { e_contrib = None; e_value = own_value; e_cls = to_cls; e_deal = None } ]
+              [ { e_contrib = None; e_value = own_value; e_cls = to_cls } ]
           else []
         in
         push_custody tgt asset (moved @ own)
@@ -438,11 +374,11 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
               (* the contributor gets its own asset back *)
               self_returned := !self_returned + v;
               match pstate contrib with
-              | Some p -> uncontribute p e.e_cls e.e_deal v is_doc
+              | Some p -> uncontribute p e.e_cls v is_doc
               | None -> ())
             | Some contrib -> (
               match pstate contrib with
-              | Some p -> release p e.e_cls e.e_deal v
+              | Some p -> release p e.e_cls v
               | None -> ())
             | None -> ())
           consumed;
@@ -452,10 +388,9 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
           if is_undo then begin
             (* returning what it received earlier: its received total shrinks *)
             let v = if is_doc then price src asset else own_value in
-            p.p_received <- p.p_received - v;
-            deal_recv p (deal_of_receive src asset) (-v)
+            p.p_received <- p.p_received - v
           end
-          else contribute p Exposed (deal_of_send src asset) own_value is_doc
+          else contribute p Exposed own_value is_doc
         | _ -> ());
         (* the recipient's position *)
         (match pstate tgt with
@@ -463,7 +398,7 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
           if is_undo && Party.is_principal src && consumed = [] then begin
             (* its own earlier direct transfer came back: outlay cancelled *)
             let v = if is_doc then price tgt asset else own_value in
-            uncontribute p Exposed (deal_of_send tgt asset) v is_doc
+            uncontribute p Exposed v is_doc
           end
           else begin
             let gross =
@@ -472,10 +407,7 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
               | Asset.Money m -> m
             in
             let v = gross - !self_returned in
-            if v <> 0 then begin
-              p.p_received <- p.p_received + v;
-              deal_recv p (deal_of_receive tgt asset) v
-            end
+            if v <> 0 then p.p_received <- p.p_received + v
           end
         | None -> ())
       end
@@ -520,17 +452,7 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
           end;
           p.p_prev_at <- at;
           p.p_prev_risk <- risk
-        end;
-        (* per-deal windows *)
-        Hashtbl.iter
-          (fun _ d ->
-            let out = max 0 (d.d_out - d.d_recv) in
-            if out > 0 then begin
-              d.ds_peak <- max d.ds_peak out;
-              if d.ds_first < 0 then d.ds_first <- at;
-              d.ds_last <- at
-            end)
-          p.p_deals)
+        end)
       pstates;
     Hashtbl.iter
       (fun _ a ->
@@ -604,26 +526,7 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
                }
            | _ -> None)
   in
-  let deals =
-    List.concat_map
-      (fun (_, p) ->
-        Hashtbl.fold
-          (fun id d acc ->
-            if d.ds_peak > 0 then
-              { d_party = p.p_party; d_deal = id; d_peak = d.ds_peak; d_first = d.ds_first; d_last = d.ds_last }
-              :: acc
-            else acc)
-          p.p_deals []
-        |> List.sort (fun a b -> String.compare a.d_deal b.d_deal))
-      pstates
-  in
-  {
-    parties;
-    agents = agent_ledgers;
-    deals;
-    violations = List.rev !violations;
-    duration;
-  }
+  { parties; agents = agent_ledgers; violations = List.rev !violations; duration }
 
 let total_peak_at_risk t =
   List.fold_left (fun acc p -> acc + p.peak_at_risk) 0 t.parties

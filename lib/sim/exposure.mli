@@ -20,12 +20,12 @@
     contributor, so forwards, migrations between agents, §2.2 deadline
     refunds and §6 forfeitures all land on the right principal's
     ledger. Valuations follow the cost-basis rule of
-    {!Trust_core.Compile.price_for}: money at face value, a document at
+    {!Trust_core.Spec_index.price}: money at face value, a document at
     what the party pays (or failing that, is paid) for it.
 
     The ledger checks two invariants for {e honest} principals:
     [Bound_exceeded] — at-risk value above the party's
-    {!single_transfer_bound} at some tick — and [Unsettled] — at-risk
+    {!Trust_core.Spec_index.single_transfer_bound} at some tick — and [Unsettled] — at-risk
     value remaining when the run ends. Honest runs of feasible
     protocols produce no violations; adversarial runs flag the
     violating tick and party ({!record} turns each violation into a
@@ -46,14 +46,6 @@ type violation_kind =
   | Unsettled of { residual : Asset.money }
 
 type violation = { v_party : Party.t; v_at : int; v_kind : violation_kind }
-
-type deal_summary = {
-  d_party : Party.t;
-  d_deal : string;
-  d_peak : Asset.money;  (** peak outstanding (unreciprocated) value in this deal *)
-  d_first : int;  (** first exposed tick, [-1] when never exposed *)
-  d_last : int;  (** last exposed tick *)
-}
 
 type party_ledger = {
   party : Party.t;
@@ -76,14 +68,9 @@ type agent_ledger = {
 type t = {
   parties : party_ledger list;  (** principals, spec order *)
   agents : agent_ledger list;  (** custody holders that ever held value *)
-  deals : deal_summary list;  (** (principal, deal) pairs that were ever exposed *)
   violations : violation list;  (** honest principals only, chronological *)
   duration : int;  (** last delivery tick of the run *)
 }
-
-val single_transfer_bound : Spec.t -> Party.t -> Asset.money
-(** {!Trust_core.Compile.single_transfer_bound} at the spec's own
-    valuation. *)
 
 val of_result :
   ?plan:Trust_core.Indemnity.plan ->

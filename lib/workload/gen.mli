@@ -63,3 +63,24 @@ val random_transaction : Prng.t -> mix -> Spec.t
     generator state. *)
 
 val random_transactions : Prng.t -> mix -> int -> Spec.t list
+
+(** {1 Casts}
+
+    Every shape above is built over a {e cast}: the functions that name
+    the parties it needs. The shapes here use a fixed cast; {!Universe}
+    passes one that draws each party from a Zipf law. Builders call the
+    cast in a fixed order, so a drawing cast consumes its PRNG stream
+    the same way on every call. *)
+
+type cast = {
+  consumer : unit -> Party.t;
+  producer : int -> Party.t;
+      (** [producer 0] is a chain's producer; [producer i] sells bundle
+          document [i] *)
+  source : int -> Party.t;  (** the producer of fan document [i] *)
+  broker : int -> Party.t;  (** [broker i], [i >= 1] *)
+  agent : int -> Party.t;  (** the trusted intermediary numbered [i] *)
+}
+
+val transaction_with : cast -> Prng.t -> mix -> Spec.t
+(** {!random_transaction} over [cast] instead of the fixed names. *)

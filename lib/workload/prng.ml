@@ -21,25 +21,8 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   v mod bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let float t =
   let bits53 = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bits53 /. 9007199254740992.0 (* 2^53 *)
-
-let pick t = function
-  | [] -> invalid_arg "Prng.pick: empty list"
-  | items -> List.nth items (int t (List.length items))
-
-let shuffle t items =
-  let arr = Array.of_list items in
-  let n = Array.length arr in
-  for i = n - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done;
-  Array.to_list arr
 
 let split t = create (next_int64 t)

@@ -19,16 +19,8 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. @raise Invalid_argument
     when [bound <= 0]. *)
 
-val bool : t -> bool
-
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
-
-val pick : t -> 'a list -> 'a
-(** Uniform element. @raise Invalid_argument on the empty list. *)
-
-val shuffle : t -> 'a list -> 'a list
-(** Fisher–Yates permutation. *)
 
 val split : t -> t
 (** An independent generator derived from (and advancing) [t]. *)

@@ -106,16 +106,6 @@ let producers t = Zipf.size t.producers
 let brokers t = Zipf.size t.brokers
 let agents t = Zipf.size t.agents
 
-(* Per-transaction draw state: ranks already used, one list per role,
-   so a cast never reuses a principal within its role. Lists stay tiny
-   (a dozen entries at most), so linear membership is fine. *)
-type cast = {
-  mutable used_c : int list;
-  mutable used_p : int list;
-  mutable used_b : int list;
-  mutable used_a : int list;
-}
-
 let distinct zipf rng used =
   let n = Zipf.size zipf in
   let rec probe r steps =
@@ -128,133 +118,26 @@ let distinct zipf rng used =
   in
   probe (Zipf.sample zipf rng) 0
 
-let consumer_of t rng cast =
-  let u = ref cast.used_c in
-  let r = distinct t.consumers rng u in
-  cast.used_c <- !u;
-  Party.consumer (Printf.sprintf "c%d" r)
-
-let producer_of t rng cast =
-  let u = ref cast.used_p in
-  let r = distinct t.producers rng u in
-  cast.used_p <- !u;
-  Party.producer (Printf.sprintf "p%d" r)
-
-let broker_of t rng cast =
-  let u = ref cast.used_b in
-  let r = distinct t.brokers rng u in
-  cast.used_b <- !u;
-  Party.broker (Printf.sprintf "b%d" r)
-
-let agent_of t rng cast =
-  let u = ref cast.used_a in
-  let r = distinct t.agents rng u in
-  cast.used_a <- !u;
-  Party.trusted (Printf.sprintf "t%d" r)
-
-let fresh_cast () = { used_c = []; used_p = []; used_b = []; used_a = [] }
-
-(* The shapes mirror Gen's link structure, priorities and price ladders
-   exactly — only the cast is drawn instead of fixed. Deliberately
-   duplicated rather than threaded through Gen: Gen's fixed names (and
-   their pinned shape hashes) are load-bearing for the batch tests. *)
-
-let chain t rng ~brokers:n =
-  let cast = fresh_cast () in
-  let consumer = consumer_of t rng cast in
-  let producer = producer_of t rng cast in
-  let broker = Array.init n (fun _ -> broker_of t rng cast) in
-  let agent = Array.init (n + 1) (fun _ -> agent_of t rng cast) in
-  let seller_of_link i = if i = n then producer else broker.(i) in
-  let buyer_of_link i = if i = 0 then consumer else broker.(i - 1) in
-  let link i =
-    Spec.sale
-      ~id:(Printf.sprintf "link%d" i)
-      ~buyer:(buyer_of_link i) ~seller:(seller_of_link i) ~via:agent.(i)
-      ~price:(Asset.dollars (10 + n - i))
-      ~good:"d"
+(* A fresh cast per transaction: each role remembers the ranks it has
+   used, so a cast never reuses a principal within its role. Lists stay
+   tiny (a dozen entries at most), so linear membership is fine. The
+   shapes are Gen's; only the names are drawn instead of fixed. *)
+let cast t rng =
+  let drawn zipf name =
+    let used = ref [] in
+    fun (_ : int) -> name (distinct zipf rng used)
   in
-  let deals = List.init (n + 1) (fun k -> link (n - k)) in
-  let priorities =
-    List.init n (fun k ->
-        (broker.(k), { Spec.deal = Printf.sprintf "link%d" k; side = Spec.Right }))
-  in
-  Spec.make_exn ~priorities deals
+  let consumer = drawn t.consumers (fun r -> Party.consumer (Printf.sprintf "c%d" r)) in
+  let producer = drawn t.producers (fun r -> Party.producer (Printf.sprintf "p%d" r)) in
+  {
+    Gen.consumer = (fun () -> consumer 0);
+    producer;
+    source = producer;
+    broker = drawn t.brokers (fun r -> Party.broker (Printf.sprintf "b%d" r));
+    agent = drawn t.agents (fun r -> Party.trusted (Printf.sprintf "t%d" r));
+  }
 
-let fan t rng ~docs:k =
-  let cast = fresh_cast () in
-  let consumer = consumer_of t rng cast in
-  let deals =
-    List.concat
-      (List.init k (fun idx ->
-           let i = idx + 1 in
-           let doc = Printf.sprintf "d%d" i in
-           let price = Asset.dollars (10 * i) in
-           let broker = broker_of t rng cast in
-           let source = producer_of t rng cast in
-           let inner_via = agent_of t rng cast in
-           let outer_via = agent_of t rng cast in
-           [
-             Spec.sale
-               ~id:(Printf.sprintf "b%ds%d" i i)
-               ~buyer:broker ~seller:source ~via:inner_via
-               ~price:(price * 8 / 10) ~good:doc;
-             Spec.sale
-               ~id:(Printf.sprintf "cb%d" i)
-               ~buyer:consumer ~seller:broker ~via:outer_via ~price ~good:doc;
-           ]))
-  in
-  let priorities =
-    List.init k (fun idx ->
-        let i = idx + 1 in
-        let seller =
-          match List.nth deals ((2 * idx) + 1) with d -> d.Spec.right
-        in
-        (seller, { Spec.deal = Printf.sprintf "cb%d" i; side = Spec.Right }))
-  in
-  Spec.make_exn ~priorities deals
-
-let bundle t rng ~docs:k =
-  let cast = fresh_cast () in
-  let consumer = consumer_of t rng cast in
-  let deals =
-    List.init k (fun idx ->
-        let i = idx + 1 in
-        Spec.sale
-          ~id:(Printf.sprintf "cp%d" i)
-          ~buyer:consumer
-          ~seller:(producer_of t rng cast)
-          ~via:(agent_of t rng cast)
-          ~price:(Asset.dollars (10 * i))
-          ~good:(Printf.sprintf "d%d" i))
-  in
-  Spec.make_exn deals
-
-let sprinkle_trust rng density spec =
-  List.fold_left
-    (fun spec d ->
-      if Prng.float rng < density then
-        Spec.with_persona ~trusted:d.Spec.via ~principal:d.Spec.left spec
-      else spec)
-    spec spec.Spec.deals
-
-let transaction t rng =
-  let mix = t.cfg.mix in
-  let total =
-    mix.Gen.sale_weight + mix.Gen.chain_weight + mix.Gen.fan_weight
-    + mix.Gen.bundle_weight
-  in
-  if total <= 0 then invalid_arg "Universe.transaction: all mix weights zero";
-  let roll = Prng.int rng total in
-  let base =
-    if roll < mix.Gen.sale_weight then chain t rng ~brokers:0
-    else if roll < mix.Gen.sale_weight + mix.Gen.chain_weight then
-      chain t rng ~brokers:(1 + Prng.int rng (max 1 mix.Gen.max_chain))
-    else if roll < mix.Gen.sale_weight + mix.Gen.chain_weight + mix.Gen.fan_weight
-    then fan t rng ~docs:(1 + Prng.int rng (max 1 mix.Gen.max_fan))
-    else bundle t rng ~docs:(1 + Prng.int rng (max 1 mix.Gen.max_bundle))
-  in
-  sprinkle_trust rng mix.Gen.trust_density base
+let transaction t rng = Gen.transaction_with (cast t rng) rng t.cfg.mix
 
 (* Catalog templates: template i always re-derives the same cast, so
    the spec — and its cached protocol — repeats byte-identically. *)

@@ -67,14 +67,12 @@ val brokers : t -> int
 val agents : t -> int
 (** Subpopulation sizes after partitioning. *)
 
-val transaction : t -> Prng.t -> Spec.t
-(** One long-tail transaction: shape rolled from the mix, cast drawn
-    rank-by-rank from the role Zipf laws (ranks are probed to
-    distinctness within a role, so a chain never reuses a broker),
-    direct-trust personas sprinkled at the mix's density. *)
-
 val sample : t -> Prng.t -> Spec.t
-(** {!transaction}, except with probability [template_share] the draw
-    is a catalog replay: a template rank is Zipf-sampled and the spec
-    is re-derived from a PRNG seeded by that rank — the same template
-    always yields the identical spec. *)
+(** One transaction. Usually long-tail: shape rolled from the mix, cast
+    drawn rank-by-rank from the role Zipf laws (ranks are probed to
+    distinctness within a role, so a chain never reuses a broker),
+    direct-trust personas sprinkled at the mix's density. With
+    probability [template_share] the draw is a catalog replay instead:
+    a template rank is Zipf-sampled and the spec is re-derived from a
+    PRNG seeded by that rank — the same template always yields the
+    identical spec. *)

@@ -1,4 +1,4 @@
-type t = { s : float; cum : float array }
+type t = { cum : float array }
 
 let create ~n ~s =
   if n <= 0 then invalid_arg "Zipf.create: n must be positive";
@@ -11,10 +11,9 @@ let create ~n ~s =
   done;
   let z = !total in
   Array.iteri (fun i c -> cum.(i) <- c /. z) cum;
-  { s; cum }
+  { cum }
 
 let size t = Array.length t.cum
-let exponent t = t.s
 
 let sample t rng =
   let r = Prng.float rng in

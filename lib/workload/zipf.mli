@@ -19,8 +19,6 @@ val create : n:int -> s:float -> t
 val size : t -> int
 (** The [n] given to {!create}. *)
 
-val exponent : t -> float
-
 val sample : t -> Prng.t -> int
 (** One rank in [\[0, n)], advancing the generator by one draw. *)
 

@@ -67,11 +67,15 @@ let test_pattern_wildcards () =
   check "wrong target" false (Pattern.matches pat (Action.give p t "d"))
 
 let test_pattern_party_classes () =
-  check "any_trusted accepts t" true (Pattern.party_matches Pattern.Any_trusted t);
-  check "any_trusted rejects c" false (Pattern.party_matches Pattern.Any_trusted c);
-  check "any_principal accepts c" true (Pattern.party_matches Pattern.Any_principal c);
+  (* a party class in the source position of a give-anything pattern *)
+  let party_matches cls party =
+    Pattern.matches (Pattern.P_do (cls, Pattern.Any_party, Pattern.Any_asset)) (Action.give party p "d")
+  in
+  check "any_trusted accepts t" true (party_matches Pattern.Any_trusted t);
+  check "any_trusted rejects c" false (party_matches Pattern.Any_trusted c);
+  check "any_principal accepts c" true (party_matches Pattern.Any_principal c);
   check "any_party accepts all" true
-    (Pattern.party_matches Pattern.Any_party t && Pattern.party_matches Pattern.Any_party c)
+    (party_matches Pattern.Any_party t && party_matches Pattern.Any_party c)
 
 let test_pattern_money_at_least () =
   let pat = Pattern.P_do (Pattern.Exactly t, Pattern.Exactly c, Pattern.Money_at_least 500) in

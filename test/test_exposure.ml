@@ -74,19 +74,14 @@ let test_direct_trust_window () =
   let x, _ = ledger S.simple_sale_direct in
   check_int "no violations" 0 (List.length x.E.violations);
   let c = party_ledger x "c" in
-  let bound = E.single_transfer_bound S.simple_sale_direct c.E.party in
+  let index = Trust_core.Spec_index.make S.simple_sale_direct in
+  let bound = Trust_core.Spec_index.single_transfer_bound index c.E.party in
   check "consumer has a positive bound" true (bound > 0);
   check_int "window exactly the single-transfer bound" bound c.E.peak_at_risk;
   check "a real risk window" true (c.E.risk_ticks >= 1);
   check_int "settled by the end" 0 c.E.final.E.at_risk;
   (* the trusting party pays first; the trusted one is never exposed *)
-  check_int "producer never at risk" 0 (party_ledger x "p").E.peak_at_risk;
-  check "deal window recorded" true
-    (List.exists
-       (fun (d : E.deal_summary) ->
-         Party.equal d.E.d_party c.E.party && d.E.d_peak = bound && d.E.d_first >= 0
-         && d.E.d_last >= d.E.d_first)
-       x.E.deals)
+  check_int "producer never at risk" 0 (party_ledger x "p").E.peak_at_risk
 
 (* -- worked example: §6 indemnities keep everyone at zero risk -- *)
 

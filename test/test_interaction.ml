@@ -16,8 +16,17 @@ let test_figure1_shape () =
   let g = Interaction.graph example1 in
   check_int "five parties" 5 (Trust_graph.Digraph.node_count g);
   check_int "four edges" 4 (Trust_graph.Digraph.edge_count g);
-  let comps = Trust_graph.Digraph.undirected_components g in
-  check_int "connected" 1 (List.length comps)
+  let edges =
+    Trust_graph.Digraph.fold_edges
+      (fun u v acc ->
+        (Party.name (Interaction.party_of_node example1 u),
+         Party.name (Interaction.party_of_node example1 v))
+        :: acc)
+      g []
+  in
+  Alcotest.(check (list (pair string string))) "the path c - t1 - b - t2 - p"
+    [ ("b", "t1"); ("b", "t2"); ("c", "t1"); ("p", "t2") ]
+    (List.sort compare edges)
 
 let test_figure2_shape () =
   (* Figure 2: 5 principals + 4 intermediaries, 8 edges. *)
@@ -36,22 +45,31 @@ let test_node_mapping () =
   Alcotest.check_raises "unknown party" Not_found (fun () ->
       ignore (Interaction.node_of_party example1 (Party.consumer "nobody")))
 
+(* edges of the interaction graph incident to the party's node *)
+let degree i party =
+  let n = Interaction.node_of_party i party in
+  Trust_graph.Digraph.fold_edges
+    (fun u v acc -> if u = n || v = n then acc + 1 else acc)
+    (Interaction.graph i) 0
+
 let test_degree () =
-  check_int "broker degree 2" 2 (Interaction.degree example1 (Party.broker "b"));
-  check_int "consumer degree 1" 1 (Interaction.degree example1 (Party.consumer "c"));
-  check_int "consumer in ex2 degree 2" 2 (Interaction.degree example2 (Party.consumer "c"))
+  check_int "broker degree 2" 2 (degree example1 (Party.broker "b"));
+  check_int "consumer degree 1" 1 (degree example1 (Party.consumer "c"));
+  check_int "consumer in ex2 degree 2" 2 (degree example2 (Party.consumer "c"))
 
 let test_internal_nodes () =
+  (* parties of degree two or more: the conjunction nodes of §4.1 *)
   Alcotest.(check (list string)) "figure 1 internals" [ "b"; "t2"; "t1" ]
-    (List.map Party.name (Interaction.internal_nodes example1));
-  check_int "figure 2 internals" 7 (List.length (Interaction.internal_nodes example2))
+    (List.map Party.name (Spec.internal_parties Workload.Scenarios.example1));
+  check_int "figure 2 internals" 7
+    (List.length (Spec.internal_parties Workload.Scenarios.example2))
 
 let test_edge_of_commitment () =
-  let u, v = Interaction.edge_of_commitment example1 { Spec.deal = "cb"; side = Spec.Left } in
-  check "principal end" true
-    (Party.equal (Interaction.party_of_node example1 u) (Party.consumer "c"));
-  check "trusted end" true
-    (Party.equal (Interaction.party_of_node example1 v) (Party.trusted "t1"))
+  (* deal cb's left commitment joins its principal c to its agent t1 *)
+  let node = Interaction.node_of_party example1 in
+  check "principal -> trusted edge" true
+    (List.mem (node (Party.trusted "t1"))
+       (Trust_graph.Digraph.succ (Interaction.graph example1) (node (Party.consumer "c"))))
 
 let test_dot () =
   let dot = Interaction.to_dot example1 in

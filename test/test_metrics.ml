@@ -1,4 +1,4 @@
-(* Prometheus exposition-format conformance for Metrics.dump: HELP/TYPE
+(* Prometheus exposition-format conformance for Metrics.to_text: HELP/TYPE
    lines, sorted families, cumulative histogram _bucket/_sum/_count
    triplets, and the volatile quarantine. The parser below is
    deliberately independent of the renderer: it re-derives the family
@@ -156,9 +156,8 @@ let synthetic () =
 
 let test_synthetic_conformance () =
   let m = synthetic () in
-  conformance (Metrics.dump m);
-  check_string "dump aliases to_text" (Metrics.to_text m) (Metrics.dump m);
-  check "volatile gauge quarantined from the dump" false (contains (Metrics.dump m) "test_noise");
+  conformance (Metrics.to_text m);
+  check "volatile gauge quarantined from the dump" false (contains (Metrics.to_text m) "test_noise");
   check "volatile gauge on the volatile channel" true
     (contains (Metrics.volatile_text m) "test_noise");
   check "deterministic gauge not on the volatile channel" false
@@ -167,7 +166,7 @@ let test_synthetic_conformance () =
 let test_synthetic_histogram_values () =
   (* observations 0,2,5 land in le<=1/le<=5; 7 in le<=10; 20 in +Inf *)
   let m = synthetic () in
-  let lines = parse (Metrics.dump m) in
+  let lines = parse (Metrics.to_text m) in
   let bucket le =
     match
       List.filter_map
@@ -188,7 +187,7 @@ let test_batch_conformance () =
   let outcome =
     Service.run { Service.default with Service.sessions = 40; seed = 3L; jobs = 2 }
   in
-  let dump = Metrics.dump outcome.Service.metrics in
+  let dump = Metrics.to_text outcome.Service.metrics in
   conformance dump;
   check "counter family present" true (contains dump "# TYPE serve_sessions_total counter");
   check "histogram family present" true (contains dump "# TYPE serve_session_ticks histogram");
@@ -204,7 +203,7 @@ let test_daemon_registry_conforms () =
   let path = Printf.sprintf "/tmp/trustseq-metrics-%d.sock" (Unix.getpid ()) in
   let stats = Server.run ~stop ~metrics:m { Server.default with Server.unix_path = Some path } in
   check "drains immediately" true stats.Server.drained;
-  let dump = Metrics.dump m in
+  let dump = Metrics.to_text m in
   conformance dump;
   check "request counter family" true (contains dump "# TYPE daemon_requests_total counter");
   check "busy counter family" true (contains dump "# TYPE daemon_busy_total counter");

@@ -57,11 +57,11 @@ let test_enabled_transitions () =
   Alcotest.(check (list int)) "both" [ produce; consume ] (Net.enabled_transitions net m1)
 
 let test_marking_ops () =
-  let net, buffer, consumed, _, _ = simple_net () in
+  let net, buffer, consumed, produce, _ = simple_net () in
   let m = Net.Marking.initial net [ (buffer, 2); (consumed, 1) ] in
   check_int "initial tokens add up" 2 (Net.Marking.tokens m buffer);
-  let m' = Net.Marking.set m buffer 5 in
-  check_int "set" 5 (Net.Marking.tokens m' buffer);
+  let m' = Net.fire net m produce in
+  check_int "fired" 3 (Net.Marking.tokens m' buffer);
   check_int "original untouched" 2 (Net.Marking.tokens m buffer);
   check "covers" true (Net.Marking.covers m' m);
   check "not covered" false (Net.Marking.covers m m')
@@ -122,7 +122,7 @@ let test_coverability_unbounded () =
 let test_coverability_negative () =
   let net, m0, crit1, crit2 = mutex_net () in
   let target =
-    Net.Marking.set (Net.Marking.set (Net.Marking.initial net []) crit1 1) crit2 1
+    Net.Marking.initial net [ (crit1, 1); (crit2, 1) ]
   in
   let r = Analysis.coverable net m0 ~target in
   check "mutex violation not coverable" true (r.Analysis.verdict = `Not_coverable)

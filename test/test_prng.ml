@@ -52,22 +52,6 @@ let test_int_covers_values () =
   done;
   check "all residues hit" true (Array.for_all Fun.id seen)
 
-let test_pick () =
-  let rng = Prng.create 2L in
-  let items = [ "a"; "b"; "c" ] in
-  for _ = 1 to 50 do
-    let p = Prng.pick rng items in
-    check "picked from list" true (List.mem p items)
-  done;
-  Alcotest.check_raises "empty pick" (Invalid_argument "Prng.pick: empty list") (fun () ->
-      ignore (Prng.pick rng []))
-
-let test_shuffle_permutation () =
-  let rng = Prng.create 21L in
-  let items = List.init 30 Fun.id in
-  let shuffled = Prng.shuffle rng items in
-  check "same multiset" true (List.sort compare shuffled = items)
-
 let test_split_independent () =
   let a = Prng.create 4L in
   let b = Prng.split a in
@@ -96,8 +80,6 @@ let () =
           Alcotest.test_case "int invalid bound" `Quick test_int_invalid;
           Alcotest.test_case "float in [0,1)" `Quick test_float_range;
           Alcotest.test_case "int covers residues" `Quick test_int_covers_values;
-          Alcotest.test_case "pick" `Quick test_pick;
-          Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
           Alcotest.test_case "split independence" `Quick test_split_independent;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_int_in_range ]);

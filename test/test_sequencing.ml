@@ -75,12 +75,16 @@ let test_remove_edge () =
   check_int "still five" 5 (Sequencing.edge_count g)
 
 let test_fringe () =
-  let g = g1 () in
+  (* §4.2.1: a node "on the fringe" has one remaining edge, and only
+     fringe edges are reduction candidates *)
+  let candidates = Trust_core.Reduce.applicable (g1 ()) in
+  let rule1 cid = List.exists (fun (r, c, _) -> r = Trust_core.Reduce.Rule1 && c = cid) candidates in
   (* commitment 1 is (bp, Right) = producer side: only the AND-t2 edge *)
-  check "producer commitment fringe" true (Sequencing.commitment_fringe g 1);
+  check "producer commitment fringe" true (rule1 1);
   (* commitment 0 is (bp, Left) = broker's purchase: two edges *)
-  check "broker commitment not fringe" false (Sequencing.commitment_fringe g 0);
-  check "conjunctions not fringe" false (Sequencing.conjunction_fringe g 0)
+  check "broker commitment not fringe" false (rule1 0);
+  check "conjunctions not fringe" false
+    (List.exists (fun (r, _, _) -> r = Trust_core.Reduce.Rule2) candidates)
 
 let test_red_sibling () =
   let g = g1 () in

@@ -252,7 +252,7 @@ let prop_cached_equals_fresh =
 (* Cold synthesis as separate passes: a feasibility check, the rescue
    loop from scratch, [Harness.assemble] (which analyses the split spec
    again and builds behaviours), then [Static_exposure.analyze] (a
-   third analysis) and [Compile.compile] priced by [Compile.price_for]. *)
+   third analysis) and [Compile.compile] priced by [Spec_index.price]. *)
 let reference policy spec =
   let shared = policy.Cache.shared in
   let plan =
@@ -277,7 +277,7 @@ let reference policy spec =
         Some
           (Compile.compile
              ~lockstep:(policy.Cache.mode = Harness.Lockstep)
-             ~shared ?plan ~price:(Compile.price_for split) split protocol)
+             ~shared ?plan ~price:(Trust_core.Spec_index.price (Trust_core.Spec_index.make split)) split protocol)
       else None
     in
     Ok { Cache.split_spec = split; plan; protocol; exposure = SE.analyze split; compiled }

@@ -21,7 +21,7 @@ let test_lifecycle () =
   Session.transition session Session.Synthesizing;
   Session.transition session Session.Running;
   Session.transition session Session.Settled;
-  check "settled is terminal" true (Session.is_terminal session.Session.status);
+  check_string "ends settled" "settled" (Session.status_label session.Session.status);
   let fresh = Session.make ~id:1 (Gen.chain ~brokers:1) in
   Alcotest.check_raises "queued cannot settle"
     (Invalid_argument "Session.transition: session 1 cannot go queued -> settled") (fun () ->
@@ -131,12 +131,14 @@ let test_bounded_concurrency () =
 let test_pool_runs_everything () =
   let n = 200 in
   let counters = Array.make n 0 in
-  Pool.run_all ~jobs:4 (fun i -> counters.(i) <- counters.(i) + 1) (List.init n Fun.id);
+  let pool = Pool.create ~jobs:4 () in
+  List.iter (fun i -> Pool.submit pool (fun () -> counters.(i) <- counters.(i) + 1)) (List.init n Fun.id);
+  Pool.shutdown pool;
   Array.iteri (fun i c -> check_int (Printf.sprintf "job %d ran once" i) 1 c) counters
 
 let test_pool_stats_and_shutdown () =
   let pool = Pool.create ~queue_capacity:4 ~jobs:2 () in
-  check_int "pool size" 2 (Pool.size pool);
+  check_int "pool size" 2 (Pool.stats pool).Pool.workers;
   let hits = Atomic.make 0 in
   for _ = 1 to 32 do
     Pool.submit pool (fun () -> ignore (Atomic.fetch_and_add hits 1))

@@ -123,6 +123,12 @@ let test_witness_is_a_subsequence () =
 let no_loc _ = None
 let no_loc2 _ _ = None
 
+(* the structural conflict diagnostics of one code *)
+let conflicts code spec =
+  List.filter
+    (fun d -> d.Diagnostic.code = code)
+    (Conflict.structural ~deal_loc:no_loc ~split_loc:no_loc2 spec)
+
 let test_double_spend_detected () =
   let spec =
     spec_of_source
@@ -134,7 +140,7 @@ trusted t2
 deal s1: c1 pays $10; b gives "d"; via t1
 deal s2: c2 pays $10; b gives "d"; via t2|}
   in
-  match Conflict.double_spends ~deal_loc:no_loc spec with
+  match conflicts Diagnostic.Double_spend spec with
   | [ d ] ->
     check "code is TL013" true (d.Diagnostic.code = Diagnostic.Double_spend);
     check "error severity" true (d.Diagnostic.severity = Diagnostic.Error);
@@ -144,7 +150,7 @@ deal s2: c2 pays $10; b gives "d"; via t2|}
 let test_resale_is_not_double_spend () =
   (* example1's broker sells the document it acquires: supply 1, sales 1 *)
   check_int "example1 clean" 0
-    (List.length (Conflict.double_spends ~deal_loc:no_loc Scenarios.example1));
+    (List.length (conflicts Diagnostic.Double_spend Scenarios.example1));
   (* an honest two-copy reseller: acquires twice, sells twice *)
   let spec =
     spec_of_source
@@ -163,7 +169,7 @@ deal s1: c1 pays $10; b gives "d"; via t3
 deal s2: c2 pays $10; b gives "d"; via t4|}
   in
   check_int "two-for-two reseller clean" 0
-    (List.length (Conflict.double_spends ~deal_loc:no_loc spec))
+    (List.length (conflicts Diagnostic.Double_spend spec))
 
 let test_over_pledge_needs_two_splits () =
   (* one split is TL003's business, not TL014's *)
@@ -179,7 +185,7 @@ deal b: c pays $20; p2 gives "d2"; via t2
 split c : a.buyer|}
   in
   check_int "single split clean" 0
-    (List.length (Conflict.over_pledged ~split_loc:no_loc2 one))
+    (List.length (conflicts Diagnostic.Over_pledged_indemnity one))
 
 let test_deadline_sized_to_span_is_clean () =
   (* the same shape as the TL015 fixture but with a roomy deadline *)

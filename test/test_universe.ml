@@ -8,6 +8,7 @@ module Zipf = Workload.Zipf
 module Prng = Workload.Prng
 module Printer = Trust_lang.Printer
 module Elaborate = Trust_lang.Elaborate
+module Spec = Exchange.Spec
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -149,6 +150,27 @@ let test_long_tail_mostly_distinct () =
   done;
   check "long tail is mostly fresh" true (Hashtbl.length seen > n / 2)
 
+(* The request text of the daemon benchmarks and the batch shape hashes
+   are both defined by these streams: the Zipf draw order of
+   [Universe.sample] and the fixed cast of [Gen.random_transactions].
+   A builder refactor that reorders one PRNG draw or renames one party
+   changes the digest. *)
+let stream_digest specs =
+  Digest.to_hex (Digest.string (String.concat "\n" (List.map Spec.shape_hex specs)))
+
+let test_streams_pinned () =
+  let universe cfg =
+    let u = Universe.create cfg and rng = Prng.create 7L in
+    stream_digest (List.init 2_000 (fun _ -> Universe.sample u rng))
+  in
+  check_string "default_config at seed 7" "388b50391863d60e33d8f5afa02db673"
+    (universe Universe.default_config);
+  check_string "defect_heavy at seed 7" "44f4d3544f995e387d4d154b84c5d770"
+    (universe Universe.defect_heavy);
+  check_string "Gen.random_transactions at seed 42" "241df8da98535ac29308fa0bdd30cfaa"
+    (stream_digest
+       (Workload.Gen.random_transactions (Prng.create 42L) Workload.Gen.default_mix 2_000))
+
 let () =
   Alcotest.run "universe"
     [
@@ -167,5 +189,6 @@ let () =
           Alcotest.test_case "draws elaborate round trip" `Quick test_draws_roundtrip;
           Alcotest.test_case "template replay identical" `Quick test_template_replay_identical;
           Alcotest.test_case "long tail mostly distinct" `Quick test_long_tail_mostly_distinct;
+          Alcotest.test_case "pinned draw streams" `Quick test_streams_pinned;
         ] );
     ]
